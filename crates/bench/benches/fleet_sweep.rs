@@ -26,6 +26,7 @@ struct Record {
     bench: &'static str,
     seed: u64,
     iterations: u32,
+    host_cores: usize,
     devices: u32,
     pcs: u32,
     knots: usize,
@@ -110,6 +111,7 @@ fn main() {
         bench: "fleet_sweep",
         seed: SEED,
         iterations: ITERATIONS,
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         devices: DEVICES,
         pcs: u32::from(cfg.geometry.total_pcs()),
         knots: cfg.knots().len(),

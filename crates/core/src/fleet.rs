@@ -1,7 +1,7 @@
 //! Bridge between the fleet layer and the supervised platform stack.
 //!
 //! The fleet crate's built-in runner ([`hbm_fleet::characterize_device`])
-//! descends each device with the coupled-carry mask kernel directly — no
+//! counts each device with the count-only coupled kernel descent — no
 //! DRAM arrays, no AXI traffic — which is what makes thousand-device
 //! sweeps tractable. This module provides the *supervised* alternative:
 //! the same per-device campaign assembled through [`SweepConfig`] and run

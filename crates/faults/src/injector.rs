@@ -10,7 +10,7 @@ use hbm_units::{Celsius, Millivolts, Volts};
 use serde::{Deserialize, Serialize};
 
 use crate::field::{CarryEntry, CarryStats, PcSweepCarry, PendingBits, PendingClass};
-use crate::hash::{combine, gate_key, key_unit, unit, unit_cutoff, unit_pair};
+use crate::hash::{combine, gate_key, key_unit, mix64, unit, unit_cutoff, unit_pair};
 use crate::kernel::{bitsliced, BackendSel, InstructionSet};
 use crate::params::FaultModelParams;
 use crate::variation::ShiftTable;
@@ -501,22 +501,35 @@ impl FaultInjector {
         table
     }
 
-    fn build_tile_table(&self, pc: PcIndex, supply: Millivolts) -> TileTable {
+    /// The total local variation shift of one tile, in volts.
+    fn tile_shift_volts(&self, pc: PcIndex, tile: usize) -> f64 {
         let var = &self.params.variation;
+        let (bank, region) = self.grid.bank_and_region(tile);
+        // Exactly the per-word path's shift composition — the term order
+        // matters, f64 addition is not associative.
+        self.shift_table.pc_shift_volts(pc)
+            + var.bank_shift_volts(self.seed, pc, bank)
+            + var.region_shift_volts_by_index(self.seed, pc, bank, region)
+            + var.temperature_shift_volts(self.temperature)
+    }
+
+    /// One tile's class probabilities `(c0, c1)` at `supply`, computed
+    /// directly (no tile cache) and zero at or above V_min.
+    fn tile_class_probabilities(&self, pc: PcIndex, tile: usize, supply: Millivolts) -> (f64, f64) {
+        if supply >= self.params.landmarks.v_min {
+            return (0.0, 0.0);
+        }
+        self.params
+            .class_probabilities(supply.to_volts(), Volts(self.tile_shift_volts(pc, tile)))
+    }
+
+    fn build_tile_table(&self, pc: PcIndex, supply: Millivolts) -> TileTable {
         let v = supply.to_volts();
-        let pc_shift = self.shift_table.pc_shift_volts(pc);
-        let temp_shift = var.temperature_shift_volts(self.temperature);
         let s0 = self.params.stuck0_share;
         let s1 = self.params.stuck1_share();
         let tiles = (0..self.grid.tile_count)
             .map(|tile| {
-                let (bank, region) = self.grid.bank_and_region(tile);
-                // Exactly the per-word path's shift composition — the term
-                // order matters, f64 addition is not associative.
-                let shift = pc_shift
-                    + var.bank_shift_volts(self.seed, pc, bank)
-                    + var.region_shift_volts_by_index(self.seed, pc, bank, region)
-                    + temp_shift;
+                let shift = self.tile_shift_volts(pc, tile);
                 let (c0, c1) = self.params.class_probabilities(v, Volts(shift));
                 let p_any0 = p_any(s0 * c0);
                 let p_any1 = p_any(s1 * c1);
@@ -2003,6 +2016,166 @@ impl FaultInjector {
             activated,
         }
     }
+
+    /// Backend-selected count-only coupled descent: entry `k` is the total
+    /// faulty-bit count (both polarities) over `words` at `schedule[k]`.
+    ///
+    /// Each coupled bit owns one persistent threshold, so its contribution
+    /// to the whole descent is the first knot whose class probability
+    /// exceeds that threshold. One hash pass over the range drops every
+    /// bit into a histogram of first faulty knots, and a prefix sum turns
+    /// the histogram into the counts — no carried masks, no pending lists,
+    /// no sort.
+    ///
+    /// The scalar arm compares [`unit_pair`] draws against the `f64` class
+    /// probabilities; the bit-sliced arms compare the raw 32-bit halves
+    /// against their [`unit_cutoff`] images through a [`KnotCuts`] index.
+    /// The two are the same comparison, so every backend counts exactly
+    /// what a carried descent does.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `schedule` is not strictly descending, or when a
+    /// tile's class probability shrinks along it.
+    pub(crate) fn coupled_count_descent_sel(
+        &self,
+        pc: PcIndex,
+        words: Range<u64>,
+        schedule: &[Millivolts],
+        sel: BackendSel,
+    ) -> Vec<u64> {
+        assert!(
+            schedule.windows(2).all(|pair| pair[0] > pair[1]),
+            "count_descent schedule must be strictly descending"
+        );
+        if words.is_empty() || schedule.is_empty() {
+            return vec![0; schedule.len()];
+        }
+        assert!(
+            words.end <= self.grid.words_per_pc,
+            "word range end {} out of range for geometry ({} words/pc)",
+            words.end,
+            self.grid.words_per_pc
+        );
+        match sel {
+            BackendSel::Scalar => {
+                let s0_share = self.params.stuck0_share;
+                self.knot_histogram(
+                    pc,
+                    words,
+                    schedule,
+                    |c0, c1| [c0, c1],
+                    |rows, h| {
+                        let (class_u, t) = unit_pair(h);
+                        let row = if class_u < s0_share {
+                            &rows[0]
+                        } else {
+                            &rows[1]
+                        };
+                        row.partition_point(|&c| c <= t)
+                    },
+                )
+            }
+            BackendSel::BitSliced(_) | BackendSel::Auto(_) => {
+                let class_cut = unit_cutoff(self.params.stuck0_share);
+                let cuts = |c: Vec<f64>| KnotCuts::new(c.into_iter().map(unit_cutoff).collect());
+                self.knot_histogram(
+                    pc,
+                    words,
+                    schedule,
+                    |c0, c1| [cuts(c0), cuts(c1)],
+                    |rows, h| {
+                        rows[usize::from((h & 0xFFFF_FFFF) >= class_cut)].first_faulty(h >> 32)
+                    },
+                )
+            }
+        }
+    }
+
+    /// The hash pass of [`FaultInjector::coupled_count_descent_sel`]. Per
+    /// tile the range touches, `rows` turns the two classes' per-knot
+    /// probabilities into the arm's lookup state; `first_faulty` maps a
+    /// bit's hash to its first faulty knot, `schedule.len()` when the bit
+    /// stays clean down to the lowest knot.
+    fn knot_histogram<R>(
+        &self,
+        pc: PcIndex,
+        words: Range<u64>,
+        schedule: &[Millivolts],
+        rows: impl Fn(Vec<f64>, Vec<f64>) -> R,
+        first_faulty: impl Fn(&R, u64) -> usize,
+    ) -> Vec<u64> {
+        let kn = schedule.len();
+        let pcu = u64::from(pc.as_u8());
+        let mut tiles: Vec<Option<R>> = (0..self.grid.tile_count).map(|_| None).collect();
+        let mut hist = vec![0u64; kn + 1];
+        for w in words {
+            let tile = self.grid.tile_of(w);
+            let lookup = tiles[tile].get_or_insert_with(|| {
+                let (c0, c1): (Vec<f64>, Vec<f64>) = schedule
+                    .iter()
+                    .map(|&v| self.tile_class_probabilities(pc, tile, v))
+                    .unzip();
+                for class in [&c0, &c1] {
+                    assert!(
+                        class.windows(2).all(|pair| pair[0] <= pair[1]),
+                        "class probability of {pc} tile {tile} shrinks along the descent"
+                    );
+                }
+                rows(c0, c1)
+            });
+            let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
+            for bit in 0..u64::from(Word256::BITS) {
+                hist[first_faulty(lookup, mix64(prefix ^ bit))] += 1;
+            }
+        }
+        let mut total = 0;
+        hist[..kn]
+            .iter()
+            .map(|&n| {
+                total += n;
+                total
+            })
+            .collect()
+    }
+}
+
+/// One tile-and-class row of per-knot [`unit_cutoff`] images, non-decreasing
+/// down a descending schedule, indexed by the top byte of a raw 32-bit key
+/// so most keys find their first faulty knot with one table load.
+#[derive(Debug)]
+struct KnotCuts {
+    cuts: Vec<u64>,
+    /// Per key bucket `b` (keys `b << 24 ..= (b << 24) | 0xFF_FFFF`): the
+    /// cuts at or below the bucket's smallest key, and those below its
+    /// end. Only cuts between the two can split the bucket's keys.
+    buckets: Vec<(u32, u32)>,
+}
+
+impl KnotCuts {
+    fn new(cuts: Vec<u64>) -> Self {
+        let (mut lo, mut hi) = (0, 0);
+        let buckets = (0..256u64)
+            .map(|b| {
+                while lo < cuts.len() && cuts[lo] <= b << 24 {
+                    lo += 1;
+                }
+                while hi < cuts.len() && cuts[hi] < (b + 1) << 24 {
+                    hi += 1;
+                }
+                (lo as u32, hi as u32)
+            })
+            .collect();
+        KnotCuts { cuts, buckets }
+    }
+
+    /// The number of cuts at or below `key`: the index of the first knot
+    /// at which a bit with this raw key is faulty.
+    fn first_faulty(&self, key: u64) -> usize {
+        let (lo, hi) = self.buckets[(key >> 24) as usize];
+        let (lo, hi) = (lo as usize, hi as usize);
+        lo + self.cuts[lo..hi].partition_point(|&c| c <= key)
+    }
 }
 
 /// Applies one tile-and-class pending prefix to the carried masks: every
@@ -2076,6 +2249,44 @@ fn p_any(p_bit: f64) -> f64 {
 #[allow(deprecated)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn knot_cuts_count_the_cuts_at_or_below_every_key() {
+        let edge = |b: u64| b << 24;
+        let rows: [Vec<u64>; 4] = [
+            vec![
+                0,
+                0,
+                5,
+                edge(1),
+                edge(1) + 1,
+                edge(2) - 1,
+                edge(200),
+                1 << 32,
+            ],
+            vec![edge(7); 5],
+            vec![1 << 32; 3],
+            vec![0; 2],
+        ];
+        for cuts in rows {
+            let index = KnotCuts::new(cuts.clone());
+            let mut keys = vec![0, 4, 5, 6, u64::from(u32::MAX)];
+            for &c in &cuts {
+                keys.extend([c.saturating_sub(1), c, c + 1]);
+            }
+            for b in [0, 1, 2, 7, 199, 200, 255] {
+                keys.extend([edge(b), edge(b + 1) - 1]);
+            }
+            for key in keys.into_iter().filter(|&k| k <= u64::from(u32::MAX)) {
+                let expect = cuts.iter().filter(|&&c| c <= key).count();
+                assert_eq!(
+                    index.first_faulty(key),
+                    expect,
+                    "key {key:#x} cuts {cuts:?}"
+                );
+            }
+        }
+    }
 
     fn injector() -> FaultInjector {
         FaultInjector::new(

@@ -240,39 +240,26 @@ pub trait MaskKernel {
     fn carry_advance(&self, carry: &mut PcSweepCarry, supply: Millivolts) -> CarryStats;
 
     /// Union fault-bit counts of one pseudo channel along a descending
-    /// voltage schedule, via one carried sweep: entry `k` is the total
-    /// stuck-at count (both polarities) over `words` at `schedule[k]`.
+    /// voltage schedule: entry `k` is the total stuck-at count (both
+    /// polarities) over `words` at `schedule[k]`, exactly what a carried
+    /// descent ([`MaskKernel::carry_start`], then
+    /// [`MaskKernel::carry_advance`] per knot) would popcount.
     ///
-    /// This is the exact-rescan entry point the fleet layer uses to
-    /// re-derive a device's per-knot curve when a compressed model cannot
-    /// answer a query within its fidelity bound.
+    /// Count-only callers need no masks, so the coupled field answers
+    /// with a one-pass knot histogram instead of a carry: every bit keeps
+    /// one persistent threshold, its first faulty knot is a binary search
+    /// of that threshold over the tile's per-knot class probabilities,
+    /// and a prefix sum over the per-knot histogram gives the counts.
+    /// This is the entry point fleet characterization and the serving
+    /// layer's exact rescans use. An empty schedule returns an empty
+    /// vector.
     ///
     /// # Panics
     ///
     /// Panics under [`FaultFieldMode::PerVoltage`] (see
     /// [`MaskKernel::carry_start`]) and when `schedule` is not strictly
     /// descending.
-    fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64> {
-        let mut counts = Vec::with_capacity(schedule.len());
-        let mut carry: Option<PcSweepCarry> = None;
-        for &supply in schedule {
-            match carry.as_mut() {
-                None => carry = Some(self.carry_start(pc, words.clone(), supply).0),
-                Some(c) => {
-                    self.carry_advance(c, supply);
-                }
-            }
-            let mut count = 0u64;
-            carry
-                .as_ref()
-                .expect("carry initialized above")
-                .for_each_mask(|_, s0, s1| {
-                    count += u64::from(s0.count_ones()) + u64::from(s1.count_ones());
-                });
-            counts.push(count);
-        }
-        counts
-    }
+    fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64>;
 }
 
 /// The concrete [`MaskKernel`]: a borrowed [`FaultInjector`] plus the
@@ -411,6 +398,17 @@ impl MaskKernel for FieldKernel<'_> {
             FaultFieldMode::MonotoneCoupled => self
                 .injector
                 .coupled_carry_advance_sel(carry, supply, self.sel),
+        }
+    }
+
+    fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64> {
+        match self.field {
+            FaultFieldMode::PerVoltage => {
+                panic!("count_descent requires FaultFieldMode::MonotoneCoupled")
+            }
+            FaultFieldMode::MonotoneCoupled => self
+                .injector
+                .coupled_count_descent_sel(pc, words, schedule, self.sel),
         }
     }
 }

@@ -334,6 +334,69 @@ proptest! {
         }
     }
 
+    /// The count-only descent (one-pass knot histogram) counts exactly what
+    /// the carried descent popcounts and what per-knot `count_range` finds,
+    /// under every backend. Schedules start above or below V_min (knots in
+    /// the guardband), take uneven steps and may be a single knot; ranges
+    /// start anywhere, span one, several or every tile, and the wide shape
+    /// exceeds the 4096-word bit-carry cap so the word-granular carry tier
+    /// is the oracle there.
+    #[test]
+    fn count_descent_histogram_matches_carry(
+        seed in any::<u64>(),
+        pc_index in 0u8..32,
+        shape in 0u64..3,
+        raw_start in 0u64..8192,
+        raw_len in 0u64..8192,
+        first_mv in 880u32..1010,
+        steps in proptest::collection::vec(1u32..40, 0..6),
+        temp_tenths in 250u32..=550,
+    ) {
+        let mut inj = injector(seed);
+        inj.set_temperature(Celsius(f64::from(temp_tenths) / 10.0));
+        let pc = PcIndex::new(pc_index).unwrap();
+        let len = match shape {
+            0 => 1 + raw_len % 48,
+            1 => 33 + raw_len % 1000,
+            _ => 4097 + raw_len % (8192 - 4097),
+        };
+        let start = raw_start % (8192 - len + 1);
+        let range = start..start + len;
+        let mut schedule = vec![Millivolts(first_mv)];
+        for step in steps {
+            let next = schedule[schedule.len() - 1].as_u32().saturating_sub(step);
+            if next < 810 {
+                break;
+            }
+            schedule.push(Millivolts(next));
+        }
+
+        let oracle = inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar);
+        let (mut carry, _) = oracle.carry_start(pc, range.clone(), schedule[0]);
+        let mut carried = Vec::with_capacity(schedule.len());
+        for (k, &v) in schedule.iter().enumerate() {
+            if k > 0 {
+                oracle.carry_advance(&mut carry, v);
+            }
+            let mut count = 0u64;
+            carry.for_each_mask(|_, s0, s1| {
+                count += u64::from(s0.count_ones()) + u64::from(s1.count_ones());
+            });
+            let (n0, n1) = oracle.count_range(pc, range.clone(), v);
+            prop_assert_eq!(count, n0 + n1, "carry and count_range disagree at {}", v);
+            carried.push(count);
+        }
+        for backend in [KernelBackend::Scalar, KernelBackend::BitSliced, KernelBackend::Auto] {
+            let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, backend);
+            prop_assert_eq!(
+                kernel.count_descent(pc, range.clone(), &schedule),
+                carried.clone(),
+                "{:?} histogram diverged from the carry over {:?} on {:?}",
+                backend, range, schedule
+            );
+        }
+    }
+
     /// The two fault fields share one analytic model, so their aggregate
     /// fault counts agree statistically at any voltage — near the guardband
     /// (where both are essentially zero), mid-slope, and at saturation.
@@ -384,5 +447,39 @@ proptest! {
                 map.voltages.iter().map(|&v| map.usable_pc_count(v, t)).collect();
             prop_assert!(counts.windows(2).all(|w| w[0] >= w[1]), "voltage monotonicity");
         }
+    }
+}
+
+#[test]
+#[should_panic(expected = "strictly descending")]
+fn count_descent_rejects_non_descending_schedule() {
+    let inj = injector(7);
+    let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+    let schedule = [900u32, 920, 880].map(Millivolts);
+    let _ = kernel.count_descent(PcIndex::new(0).unwrap(), 0..64, &schedule);
+}
+
+#[test]
+#[should_panic(expected = "MonotoneCoupled")]
+fn count_descent_refuses_per_voltage_field() {
+    let inj = injector(7);
+    let kernel = inj.kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto);
+    let schedule = [900u32, 880].map(Millivolts);
+    let _ = kernel.count_descent(PcIndex::new(0).unwrap(), 0..64, &schedule);
+}
+
+/// An all-crashed device characterizes with an empty live schedule.
+#[test]
+fn count_descent_of_empty_schedule_is_empty() {
+    let inj = injector(7);
+    for backend in [
+        KernelBackend::Scalar,
+        KernelBackend::BitSliced,
+        KernelBackend::Auto,
+    ] {
+        let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, backend);
+        assert!(kernel
+            .count_descent(PcIndex::new(0).unwrap(), 0..64, &[])
+            .is_empty());
     }
 }

@@ -14,7 +14,7 @@
 //! * **model** — the compressed [`crate::model::DeviceModel`], each cell
 //!   judged through its fidelity envelope and allowed to abstain
 //!   ([`CellVerdict::Ambiguous`]) when the envelope straddles the target;
-//! * **rescan** — the coupled-carry kernel re-deriving the exact counts on
+//! * **rescan** — the count-only kernel descent re-deriving the exact counts on
 //!   demand from the header's reconstructed [`FleetConfig`], for stores
 //!   whose exact columns were dropped at compression time.
 //!
@@ -228,7 +228,7 @@ pub(crate) fn recommend_model_raw(
 }
 
 /// Re-derives one device's exact fault-count row (pseudo-channel-major,
-/// every knot) with the coupled-carry kernel, from the artifact header
+/// every knot) with the count-only kernel descent, from the artifact header
 /// alone. This is the expensive half of a rescan — a pure function of
 /// `(store header, device_id)`, which is what makes it safe to memoize in
 /// the serving layer's single-flight rescan cache.
@@ -274,7 +274,7 @@ pub(crate) fn recommend_from_counts(
 }
 
 /// Answers a validated query by re-deriving the device's exact count row
-/// with the coupled-carry kernel — the fallback for compressed stores
+/// with the count-only kernel descent — the fallback for compressed stores
 /// whose exact columns were dropped. [`rescan_counts`] followed by
 /// [`recommend_from_counts`]; the serving layer splits the two so the
 /// expensive half can be cached.

@@ -2,7 +2,7 @@
 //! that turns a raw per-knot fault-count matrix into one.
 //!
 //! Keeping the V_min / weak-PC / guardband derivations in one place is
-//! what lets two independent measurement paths — the fleet's coupled-carry
+//! what lets two independent measurement paths — the fleet's count-only
 //! kernel descent and core's supervised traffic sweep — produce
 //! bit-identical records: both hand the same count matrix to
 //! [`DeviceRecord::assemble`].

@@ -118,13 +118,14 @@ pub struct FleetReport {
     pub stats: FleetRunStats,
 }
 
-/// Characterizes one device with the coupled-carry kernel descent.
+/// Characterizes one device with the count-only coupled kernel descent.
 ///
-/// Per pseudo channel, the descent starts a carry at the top knot and
-/// advances it downward, so the incremental-sweep and bit-sliced kernel
-/// wins compound per device. Knots below the device's crash floor are
-/// marked [`CRASHED_KNOT`] — the same cliff the supervised platform sweep
-/// reports as crashed points.
+/// Per pseudo channel, [`MaskKernel::count_descent`] hashes every bit of
+/// the sampled words once and drops it into a histogram of first faulty
+/// knots; a prefix sum gives the per-knot counts, with no carried masks.
+/// Knots below the device's crash floor are marked [`CRASHED_KNOT`] — the
+/// same cliff the supervised platform sweep reports as crashed points. A
+/// device crashed at every knot counts over an empty schedule.
 #[must_use]
 pub fn characterize_device(cfg: &FleetConfig, spec: DeviceSpec) -> DeviceRecord {
     let injector = FaultInjector::new(cfg.params.clone(), cfg.geometry, spec.seed);

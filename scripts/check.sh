@@ -24,12 +24,16 @@ echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
 # Kernel determinism gate: the cached fault kernel must stay bit-identical
-# to the per-word reference path, and the bit-sliced dense-region backend
-# must stay bit-identical to the scalar one — one-shot and carried. The
-# case count is fixed in-file (with_cases) so this run is reproducible.
+# to the per-word reference path, the bit-sliced dense-region backend
+# must stay bit-identical to the scalar one — one-shot and carried — and
+# the count-only knot-histogram descent must count exactly what the
+# carried descent does, under every backend, and panic where documented.
+# The case count is fixed in-file (with_cases) so this run is
+# reproducible.
 echo "==> kernel bit-identity property tests"
 cargo test -q -p hbm-faults --test properties kernel_
 cargo test -q -p hbm-faults --test properties bitsliced
+cargo test -q -p hbm-faults --test properties count_descent
 
 # Coupled fault-field gate: inclusion monotonicity by construction, the
 # carried working set's bit-identity to from-scratch rescans (injector
