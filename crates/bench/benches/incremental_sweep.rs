@@ -38,6 +38,7 @@ struct Record {
     iterations: u32,
     points: usize,
     words_per_pc: u64,
+    available_parallelism: usize,
     note: &'static str,
     results: Vec<Entry>,
 }
@@ -143,6 +144,7 @@ fn main() {
         iterations: ITERATIONS,
         points: incremental.points.len(),
         words_per_pc: 4096,
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         note: "speedup_vs_rescan = coupled-rescan wall clock / this path's wall \
                clock, best of N; the two coupled paths are asserted per-point \
                identical, so the speedup is free of accuracy cost",

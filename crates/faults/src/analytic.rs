@@ -7,6 +7,8 @@
 //! regions) of each pseudo channel — exactly the expectation of what the
 //! sampling injector produces.
 
+use std::sync::OnceLock;
+
 use hbm_device::{BankId, HbmGeometry, PcIndex, RowId, StackId};
 use hbm_units::{Celsius, Millivolts, Ratio, Volts};
 use serde::{Deserialize, Serialize};
@@ -36,6 +38,26 @@ impl PcRates {
 
 /// Analytic rate evaluator for a `(params, geometry, seed)` specimen.
 ///
+/// # Performance
+///
+/// A pseudo channel's rate is an average over its (bank, row-region)
+/// cells, but the cells take few distinct shifts: one bank shift each,
+/// plus a region shift that is weak, relieved or zero. The predictor
+/// therefore keeps a lazy per-PC *shift index* — each bank's shift, its
+/// distinct region shifts and every cell's position among them — built
+/// by the first [`RatePredictor::pc_rates`] call for that PC. Later calls
+/// evaluate the class probabilities once per distinct shift and add them
+/// up in the original cell order, so a dense voltage grid costs one
+/// variation hash pass per PC instead of one per voltage, with results
+/// bit-identical to the per-cell loop.
+///
+/// The index depends only on the variation model, the seed and the
+/// geometry, which are fixed at construction, so nothing invalidates it:
+/// [`RatePredictor::set_temperature`] keeps it (temperature enters each
+/// call through the common shift) and `Clone` carries it. Construction
+/// only allocates the empty per-PC slots; no index is built until its PC
+/// is queried.
+///
 /// # Examples
 ///
 /// ```
@@ -60,6 +82,19 @@ pub struct RatePredictor {
     seed: u64,
     temperature: Celsius,
     shift_table: ShiftTable,
+    /// One lazily built [`BankShifts`] list per pseudo channel.
+    shift_index: Vec<OnceLock<Vec<BankShifts>>>,
+}
+
+/// One bank's share of a pseudo channel's shift index.
+#[derive(Debug, Clone)]
+struct BankShifts {
+    /// The bank's variation shift.
+    bank: f64,
+    /// The distinct region shifts of the bank, in first-seen order.
+    regions: Vec<f64>,
+    /// Each row region's position in `regions`, in region order.
+    cells: Vec<u8>,
 }
 
 impl RatePredictor {
@@ -78,6 +113,7 @@ impl RatePredictor {
             seed,
             temperature: Celsius::STUDY_AMBIENT,
             shift_table,
+            shift_index: (0..geometry.total_pcs()).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -116,34 +152,65 @@ impl RatePredictor {
         }
         let v = supply.to_volts();
         let var = &self.params.variation;
-        let banks = u32::from(self.geometry.banks_per_pc());
-        let regions_per_bank = (self.geometry.rows_per_bank() / var.region_rows.max(1)).max(1);
-
         let common =
             self.shift_table.pc_shift_volts(pc) + var.temperature_shift_volts(self.temperature);
 
         let mut sum0 = 0.0;
         let mut sum1 = 0.0;
-        for bank in 0..banks {
-            let bank_id = BankId(bank as u16);
-            let bank_shift = var.bank_shift_volts(self.seed, pc, bank_id);
-            for region in 0..regions_per_bank {
-                let row = RowId(region * var.region_rows.max(1));
-                let shift =
-                    common + bank_shift + var.region_shift_volts(self.seed, pc, bank_id, row);
-                sum0 += self
-                    .params
-                    .class_probability(&self.params.curve_stuck0, v, Volts(shift));
-                sum1 += self
-                    .params
-                    .class_probability(&self.params.curve_stuck1, v, Volts(shift));
+        let mut cells = 0u32;
+        let mut probs = Vec::new();
+        for bank in self.shift_index(pc) {
+            probs.clear();
+            probs.extend(bank.regions.iter().map(|&region| {
+                self.params
+                    .class_probabilities(v, Volts(common + bank.bank + region))
+            }));
+            for &k in &bank.cells {
+                let (p0, p1) = probs[usize::from(k)];
+                sum0 += p0;
+                sum1 += p1;
             }
+            cells += bank.cells.len() as u32;
         }
-        let cells = f64::from(banks * regions_per_bank);
+        let cells = f64::from(cells);
         PcRates {
             rate_1to0: Ratio(self.params.stuck0_share * sum0 / cells),
             rate_0to1: Ratio(self.params.stuck1_share() * sum1 / cells),
         }
+    }
+
+    /// The shift index of a pseudo channel, built on first use.
+    fn shift_index(&self, pc: PcIndex) -> &[BankShifts] {
+        self.shift_index[pc.as_usize()].get_or_init(|| {
+            let var = &self.params.variation;
+            let banks = self.geometry.banks_per_pc();
+            let regions_per_bank = (self.geometry.rows_per_bank() / var.region_rows.max(1)).max(1);
+            (0..banks)
+                .map(|bank| {
+                    let bank_id = BankId(bank);
+                    let mut regions: Vec<f64> = Vec::new();
+                    let cells = (0..regions_per_bank)
+                        .map(|region| {
+                            let row = RowId(region * var.region_rows.max(1));
+                            let shift = var.region_shift_volts(self.seed, pc, bank_id, row);
+                            let k = regions
+                                .iter()
+                                .position(|r| r.to_bits() == shift.to_bits())
+                                .unwrap_or_else(|| {
+                                    regions.push(shift);
+                                    regions.len() - 1
+                                });
+                            u8::try_from(k).expect("a region shift takes at most three values")
+                        })
+                        .collect();
+                    BankShifts {
+                        bank: var.bank_shift_volts(self.seed, pc, bank_id),
+                        regions,
+                        cells,
+                    }
+                })
+                .collect()
+        })
     }
 
     /// Expected number of faulty bits in a pseudo channel (union of both
@@ -178,8 +245,95 @@ impl RatePredictor {
 }
 
 #[cfg(test)]
+impl RatePredictor {
+    /// The per-cell reference loop [`RatePredictor::pc_rates`] must match
+    /// bit for bit: every cell's shift hashed and both class probabilities
+    /// evaluated per call.
+    fn pc_rates_reference(&self, pc: PcIndex, supply: Millivolts) -> PcRates {
+        if supply >= self.params.landmarks.v_min {
+            return PcRates {
+                rate_1to0: Ratio::ZERO,
+                rate_0to1: Ratio::ZERO,
+            };
+        }
+        let v = supply.to_volts();
+        let var = &self.params.variation;
+        let banks = u32::from(self.geometry.banks_per_pc());
+        let regions_per_bank = (self.geometry.rows_per_bank() / var.region_rows.max(1)).max(1);
+
+        let common =
+            self.shift_table.pc_shift_volts(pc) + var.temperature_shift_volts(self.temperature);
+
+        let mut sum0 = 0.0;
+        let mut sum1 = 0.0;
+        for bank in 0..banks {
+            let bank_id = BankId(bank as u16);
+            let bank_shift = var.bank_shift_volts(self.seed, pc, bank_id);
+            for region in 0..regions_per_bank {
+                let row = RowId(region * var.region_rows.max(1));
+                let shift =
+                    common + bank_shift + var.region_shift_volts(self.seed, pc, bank_id, row);
+                sum0 += self
+                    .params
+                    .class_probability(&self.params.curve_stuck0, v, Volts(shift));
+                sum1 += self
+                    .params
+                    .class_probability(&self.params.curve_stuck1, v, Volts(shift));
+            }
+        }
+        let cells = f64::from(banks * regions_per_bank);
+        PcRates {
+            rate_1to0: Ratio(self.params.stuck0_share * sum0 / cells),
+            rate_0to1: Ratio(self.params.stuck1_share() * sum1 / cells),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Asserts `pc_rates` equals the per-cell reference bit for bit on
+    /// every PC from 1200 mV down to 810 mV in 10 mV steps.
+    fn assert_matches_reference(p: &RatePredictor) {
+        for pc in PcIndex::all(p.geometry()) {
+            for mv in (810..=1200u32).rev().step_by(10) {
+                let got = p.pc_rates(pc, Millivolts(mv));
+                let want = p.pc_rates_reference(pc, Millivolts(mv));
+                for (g, w) in [
+                    (got.rate_1to0, want.rate_1to0),
+                    (got.rate_0to1, want.rate_0to1),
+                ] {
+                    assert_eq!(
+                        g.as_f64().to_bits(),
+                        w.as_f64().to_bits(),
+                        "{pc:?} at {mv} mV, {} °C",
+                        p.temperature.as_f64()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pc_rates_match_per_cell_reference_at_both_geometries() {
+        for geometry in [HbmGeometry::vcu128(), HbmGeometry::vcu128_reduced()] {
+            assert_matches_reference(&RatePredictor::new(FaultModelParams::date21(), geometry, 7));
+        }
+    }
+
+    #[test]
+    fn pc_rates_match_reference_after_temperature_change_and_on_clone() {
+        let mut p = predictor();
+        assert_matches_reference(&p);
+        // The index is warm; a temperature change must still be honoured.
+        p.set_temperature(Celsius(55.0));
+        assert_matches_reference(&p);
+        let clone = p.clone();
+        assert_matches_reference(&clone);
+        // A clone of a cold predictor builds its own index.
+        assert_matches_reference(&predictor().clone());
+    }
 
     fn predictor() -> RatePredictor {
         RatePredictor::new(FaultModelParams::date21(), HbmGeometry::vcu128(), 7)

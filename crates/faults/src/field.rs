@@ -102,7 +102,8 @@ pub(crate) struct PendingBits {
 /// One tile's pending bits of one class.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PendingClass {
-    /// `(raw 32-bit threshold, slot << 8 | bit)`, ascending by threshold.
+    /// `(raw 32-bit threshold, slot << 8 | bit)`, ascending by threshold,
+    /// ties by slot and bit.
     pub(crate) bits: Vec<(u32, u32)>,
     /// Length of the consumed (already-faulty) prefix.
     pub(crate) cursor: usize,

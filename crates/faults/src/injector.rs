@@ -1653,9 +1653,14 @@ impl FaultInjector {
     /// bit's raw threshold key into its tile-and-class pending list.
     ///
     /// On dense tiles the bit-sliced arm hashes each word as whole 64-bit
-    /// lanes ([`bitsliced::coupled_scan`]) and fills the pending lists from
-    /// the recorded raw keys; the final per-list sort makes the push order
-    /// immaterial, so both arms build identical carries.
+    /// lanes ([`bitsliced::coupled_scan`], one `mix64` per bit) and fills
+    /// the pending lists from the recorded raw keys. Inside the guardband
+    /// every bit is clean, so non-scalar backends take the same arm with
+    /// both fault cutoffs at zero; the dispatch counters only count tiles
+    /// of a tile table, so they do not see it. Both arms push each list in
+    /// ascending `slot << 8 | bit` order, and [`sort_pending`] — a stable
+    /// radix sort on the raw key — turns that into the `(raw, packed)`
+    /// order the drains consume, so both arms build identical carries.
     fn coupled_bit_carry_start(
         &self,
         pc: PcIndex,
@@ -1671,6 +1676,11 @@ impl FaultInjector {
         );
         let tiles = (supply < self.params.landmarks.v_min).then(|| self.tile_table(pc, supply));
         let s0_share = self.params.stuck0_share;
+        let guardband_plan = (!matches!(sel, BackendSel::Scalar)).then(|| TileCuts {
+            class_cut: unit_cutoff(s0_share),
+            cut0: 0,
+            cut1: 0,
+        });
         let pcu = u64::from(pc.as_u8());
         let len = usize::try_from(words.end - words.start).expect("bit-carry range fits usize");
         let mut class0 = vec![PendingClass::default(); self.grid.tile_count];
@@ -1682,14 +1692,14 @@ impl FaultInjector {
         for w in words.clone() {
             let tile = self.grid.tile_of(w);
             let slot = (w - words.start) as u32;
-            // Inside the guardband there is no tile table; every bit is
-            // clean and the scalar walk records all thresholds.
+            // Inside the guardband there is no tile table: every bit is
+            // clean and only its threshold is recorded.
             let plan = match tiles.as_ref() {
                 Some(t) => {
                     let probs = t.tiles[tile];
                     *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs, true))
                 }
-                None => None,
+                None => guardband_plan,
             };
             let mut stuck0 = Word256::ZERO;
             let mut stuck1 = Word256::ZERO;
@@ -1762,8 +1772,9 @@ impl FaultInjector {
                 });
             }
         }
+        let mut scratch = Vec::new();
         for pending in class0.iter_mut().chain(class1.iter_mut()) {
-            pending.bits.sort_unstable();
+            sort_pending(&mut pending.bits, &mut scratch);
         }
         let stats = CarryStats {
             carried: 0,
@@ -2231,6 +2242,46 @@ fn drain_pending_class(
     }
 }
 
+/// Orders a freshly built pending list by `(raw, packed)` with a stable
+/// LSD radix sort on the 32-bit raw key, one byte per pass. The carry
+/// start pushes every list in ascending `packed` order, so a sort that is
+/// stable on `raw` yields exactly the lexicographic order `sort_unstable`
+/// would. `scratch` is the ping-pong buffer, reused across lists; four
+/// passes leave the result back in `bits`. Lists of fewer than two
+/// entries — most of a carry start's lists are empty — return at once.
+fn sort_pending(bits: &mut [(u32, u32)], scratch: &mut Vec<(u32, u32)>) {
+    debug_assert!(
+        bits.windows(2).all(|w| w[0].1 < w[1].1),
+        "pending list not pushed in ascending packed order"
+    );
+    if bits.len() < 2 {
+        return;
+    }
+    let mut counts = [[0usize; 256]; 4];
+    for &(raw, _) in bits.iter() {
+        for (pass, count) in counts.iter_mut().enumerate() {
+            count[((raw >> (8 * pass)) & 0xFF) as usize] += 1;
+        }
+    }
+    scratch.clear();
+    scratch.resize(bits.len(), (0, 0));
+    let (mut src, mut dst) = (bits, scratch.as_mut_slice());
+    for (pass, count) in counts.iter_mut().enumerate() {
+        let mut next = 0;
+        for slot in count.iter_mut() {
+            let n = *slot;
+            *slot = next;
+            next += n;
+        }
+        for &entry in src.iter() {
+            let digit = ((entry.0 >> (8 * pass)) & 0xFF) as usize;
+            dst[count[digit]] = entry;
+            count[digit] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+}
+
 /// `1 − (1 − p)^256` computed stably for tiny `p`.
 fn p_any(p_bit: f64) -> f64 {
     if p_bit <= 0.0 {
@@ -2284,6 +2335,29 @@ mod tests {
                     expect,
                     "key {key:#x} cuts {cuts:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn pending_radix_order_equals_comparison_sort() {
+        let mut scratch = Vec::new();
+        let lengths = [0, 1, 2, 3, 63, 64, 65, 5000];
+        for (case, &len) in lengths.iter().enumerate() {
+            // Full-range keys, keys confined to a few values (heavy
+            // duplicates, equal upper bytes) and keys differing only in
+            // their top byte; `packed` ascends with gaps, as pushed.
+            for key_mask in [u32::MAX, 0x3, 0xFF00_0000] {
+                let mut bits: Vec<(u32, u32)> = (0..len as u32)
+                    .map(|i| {
+                        let h = mix64((case as u64) << 32 | u64::from(i));
+                        ((h as u32) & key_mask, i * 4 + (h >> 62) as u32)
+                    })
+                    .collect();
+                let mut expect = bits.clone();
+                expect.sort_unstable();
+                sort_pending(&mut bits, &mut scratch);
+                assert_eq!(bits, expect, "len {len}, key mask {key_mask:#x}");
             }
         }
     }

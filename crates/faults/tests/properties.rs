@@ -284,7 +284,11 @@ proptest! {
     /// Carried descending sweeps are backend-independent: starting and
     /// advancing a coupled carry under the bit-sliced or auto backend
     /// yields the same masks AND the same carry accounting as the scalar
-    /// backend at every point of a random descent.
+    /// backend at every point of a random descent. Every case runs the
+    /// descent twice: once starting in the dense region at `first_mv`, and
+    /// once starting at or above V_min (980, 1000 or 1200 mV), where the
+    /// carry start only records thresholds, with `first_mv` as its first
+    /// advance.
     #[test]
     fn bitsliced_carried_advances_match_scalar(
         seed in any::<u64>(),
@@ -293,6 +297,7 @@ proptest! {
         len in 1u64..8192,
         first_mv in 830u32..980,
         steps in proptest::collection::vec(1u32..40, 1..5),
+        guardband_kind in 0usize..3,
     ) {
         let inj = injector(seed);
         let pc = PcIndex::new(pc_index).unwrap();
@@ -303,33 +308,41 @@ proptest! {
             inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto),
         ];
 
-        let mut v = Millivolts(first_mv);
-        let mut carries = Vec::new();
-        let mut start_stats = Vec::new();
-        for kernel in &kernels {
-            let (carry, stats) = kernel.carry_start(pc, range.clone(), v);
-            carries.push(carry);
-            start_stats.push(stats);
-        }
-        for i in 1..kernels.len() {
-            prop_assert_eq!(&start_stats[i], &start_stats[0],
-                "carry-start stats diverged ({:?})", kernels[i].backend());
-            prop_assert_eq!(carries[i].masks(), carries[0].masks(),
-                "carry-start masks diverged ({:?})", kernels[i].backend());
-        }
-
+        let mut dense = vec![Millivolts(first_mv)];
         for step in steps {
-            v = Millivolts(v.as_u32().saturating_sub(step).max(810));
-            let stats: Vec<_> = kernels
-                .iter()
-                .zip(carries.iter_mut())
-                .map(|(kernel, carry)| kernel.carry_advance(carry, v))
-                .collect();
+            let last = dense[dense.len() - 1].as_u32();
+            dense.push(Millivolts(last.saturating_sub(step).max(810)));
+        }
+        let guardband_mv = Millivolts([980u32, 1000, 1200][guardband_kind]);
+        let from_guardband: Vec<_> = std::iter::once(guardband_mv).chain(dense.clone()).collect();
+
+        for schedule in [dense, from_guardband] {
+            let mut carries = Vec::new();
+            let mut start_stats = Vec::new();
+            for kernel in &kernels {
+                let (carry, stats) = kernel.carry_start(pc, range.clone(), schedule[0]);
+                carries.push(carry);
+                start_stats.push(stats);
+            }
             for i in 1..kernels.len() {
-                prop_assert_eq!(&stats[i], &stats[0],
-                    "advance stats diverged at {} ({:?})", v, kernels[i].backend());
+                prop_assert_eq!(&start_stats[i], &start_stats[0],
+                    "carry-start stats diverged at {} ({:?})", schedule[0], kernels[i].backend());
                 prop_assert_eq!(carries[i].masks(), carries[0].masks(),
-                    "advance masks diverged at {} ({:?})", v, kernels[i].backend());
+                    "carry-start masks diverged at {} ({:?})", schedule[0], kernels[i].backend());
+            }
+
+            for &v in &schedule[1..] {
+                let stats: Vec<_> = kernels
+                    .iter()
+                    .zip(carries.iter_mut())
+                    .map(|(kernel, carry)| kernel.carry_advance(carry, v))
+                    .collect();
+                for i in 1..kernels.len() {
+                    prop_assert_eq!(&stats[i], &stats[0],
+                        "advance stats diverged at {} ({:?})", v, kernels[i].backend());
+                    prop_assert_eq!(carries[i].masks(), carries[0].masks(),
+                        "advance masks diverged at {} ({:?})", v, kernels[i].backend());
+                }
             }
         }
     }

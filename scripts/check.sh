@@ -25,15 +25,19 @@ cargo bench --workspace --no-run
 
 # Kernel determinism gate: the cached fault kernel must stay bit-identical
 # to the per-word reference path, the bit-sliced dense-region backend
-# must stay bit-identical to the scalar one — one-shot and carried — and
-# the count-only knot-histogram descent must count exactly what the
-# carried descent does, under every backend, and panic where documented.
-# The case count is fixed in-file (with_cases) so this run is
-# reproducible.
+# must stay bit-identical to the scalar one — one-shot and carried, from
+# guardband and dense starts — and the count-only knot-histogram descent
+# must count exactly what the carried descent does, under every backend,
+# and panic where documented. The case count is fixed in-file
+# (with_cases) so this run is reproducible. The carry start's radix
+# ordering must equal a comparison sort, and the analytic predictor's
+# shift-indexed rates must equal its per-cell reference bit for bit.
 echo "==> kernel bit-identity property tests"
 cargo test -q -p hbm-faults --test properties kernel_
 cargo test -q -p hbm-faults --test properties bitsliced
 cargo test -q -p hbm-faults --test properties count_descent
+cargo test -q -p hbm-faults --lib pending_radix
+cargo test -q -p hbm-faults --lib analytic
 
 # Coupled fault-field gate: inclusion monotonicity by construction, the
 # carried working set's bit-identity to from-scratch rescans (injector
@@ -48,6 +52,10 @@ cargo test -q -p hbm-undervolt --lib coupled
 echo "==> resilient sweep runtime tests"
 cargo test -q --test resilience
 cargo test -q -p hbm-undervolt --test cli
+
+# Smoke: every paper figure, byte-for-byte against the committed golden.
+echo "==> all_figures golden"
+./target/release/all_figures | cmp - scripts/golden/all_figures.txt
 
 # Smoke: deep in the dense regime (840 mV), a forced-scalar sweep and a
 # forced-bit-sliced sweep must emit byte-identical CSV reports.
