@@ -97,10 +97,15 @@ struct Args {
 impl Args {
     fn parse() -> Result<Self, CliError> {
         let mut positional = Vec::new();
-        let mut flags = Vec::new();
+        let mut flags: Vec<(String, String)> = Vec::new();
         let mut iter = std::env::args().skip(1);
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
+                if flags.iter().any(|(n, _)| n == name) {
+                    return Err(CliError::config(format!(
+                        "flag --{name} given more than once"
+                    )));
+                }
                 if BOOLEAN_FLAGS.contains(&name) {
                     flags.push((name.to_owned(), "true".to_owned()));
                     continue;

@@ -40,6 +40,7 @@ fn configuration_errors_exit_two_with_usage() {
         vec!["sweep", "--from", "-900"],
         vec!["sweep", "--from", "-0.0V"],
         vec!["sweep", "--retries"],
+        vec!["trade-off", "--seed", "3", "--seed", "4"],
         vec!["reliability", "--kernel", "warp"],
         vec!["reliability", "--exec", "warp"],
         vec!["sweep", "--kernel", "cached"],

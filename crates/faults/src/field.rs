@@ -33,7 +33,7 @@ pub enum FaultFieldMode {
     /// drawn once from a counter-based hash; the bit is faulty at voltage
     /// `v` iff its class's fault probability `c(v)` crosses the threshold.
     /// Fault sets grow monotonically as voltage descends, which enables the
-    /// incremental sweep kernel ([`crate::FaultInjector::coupled_carry_advance`]).
+    /// incremental sweep kernel ([`crate::MaskKernel::carry_advance`]).
     MonotoneCoupled,
 }
 
@@ -114,8 +114,8 @@ pub(crate) struct PendingClass {
 /// the carry's voltage, with enough per-word state to advance to a lower
 /// voltage without re-hashing unchanged words.
 ///
-/// Built by [`crate::FaultInjector::coupled_carry_start`] and advanced by
-/// [`crate::FaultInjector::coupled_carry_advance`]; the masks it holds are
+/// Built by [`crate::MaskKernel::carry_start`] and advanced by
+/// [`crate::MaskKernel::carry_advance`]; the masks it holds are
 /// bit-identical to a from-scratch enumeration at the same voltage.
 #[derive(Debug, Clone)]
 pub struct PcSweepCarry {
@@ -174,8 +174,7 @@ impl PcSweepCarry {
     }
 
     /// The carried masks as a sorted `(offset, stuck0, stuck1)` vector —
-    /// the same shape [`crate::FaultInjector::coupled_faulty_words`]
-    /// returns.
+    /// the same shape [`crate::MaskKernel::faulty_words`] returns.
     #[must_use]
     pub fn masks(&self) -> Vec<(WordOffset, Word256, Word256)> {
         self.entries

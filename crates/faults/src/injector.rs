@@ -7,24 +7,12 @@ use std::sync::{Arc, RwLock};
 
 use hbm_device::{BankId, HbmGeometry, PcIndex, Word256, WordOffset};
 use hbm_units::{Celsius, Millivolts, Volts};
-use serde::{Deserialize, Serialize};
 
 use crate::field::{CarryEntry, CarryStats, PcSweepCarry, PendingBits, PendingClass};
 use crate::hash::{combine, gate_key, key_unit, mix64, unit, unit_cutoff, unit_pair};
 use crate::kernel::{bitsliced, BackendSel, InstructionSet};
 use crate::params::FaultModelParams;
 use crate::variation::ShiftTable;
-
-/// The failure polarity of a faulty bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FaultPolarity {
-    /// The bit reads 0 regardless of the stored value (observed as a 1→0
-    /// flip when a 1 was written).
-    StuckAtZero,
-    /// The bit reads 1 regardless of the stored value (observed as a 0→1
-    /// flip when a 0 was written).
-    StuckAtOne,
-}
 
 /// Deterministic fault injector.
 ///
@@ -670,7 +658,7 @@ impl FaultInjector {
         let plan = sel
             .bitsliced_for_tile(probs.p_any0.max(probs.p_any1))
             .then(|| self.tile_cuts(&probs, false));
-        self.masks_from_probs_sel(pc, offset.0, probs, plan, sel.isa())
+        self.masks_from_probs(pc, offset.0, probs, plan, sel.isa())
     }
 
     /// Reference per-word implementation of [`FaultInjector::stuck_masks`]:
@@ -710,7 +698,7 @@ impl FaultInjector {
     /// probabilities already in hand. `plan` carries the tile's integer
     /// cutoffs when the dispatch chose the bit-sliced arm; gate tests stay
     /// scalar either way (two hashes per word, identical in both arms).
-    fn masks_from_probs_sel(
+    fn masks_from_probs(
         &self,
         pc: PcIndex,
         w: u64,
@@ -745,11 +733,6 @@ impl FaultInjector {
                 if gate1 { probs.cond1 } else { 0.0 },
             ),
         }
-    }
-
-    /// The scalar-arm [`FaultInjector::masks_from_probs_sel`].
-    fn masks_from_probs(&self, pc: PcIndex, w: u64, probs: TileProbs) -> (Word256, Word256) {
-        self.masks_from_probs_sel(pc, w, probs, None, InstructionSet::Portable)
     }
 
     /// One tile's probabilities as exact integer cutoffs for the bit-sliced
@@ -834,36 +817,10 @@ impl FaultInjector {
         stored.with_stuck_bits(stuck0, stuck1)
     }
 
-    /// Queries a single bit: `None` if healthy at `supply`, otherwise its
-    /// polarity. Slower than [`FaultInjector::stuck_masks`] per word; meant
-    /// for fault-map spot checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 256`.
-    #[must_use]
-    pub fn bit_fault(
-        &self,
-        pc: PcIndex,
-        offset: WordOffset,
-        bit: u32,
-        supply: Millivolts,
-    ) -> Option<FaultPolarity> {
-        assert!(bit < Word256::BITS, "bit index {bit} out of range");
-        let (stuck0, stuck1) = self.stuck_masks(pc, offset, supply);
-        if stuck0.bit(bit) {
-            Some(FaultPolarity::StuckAtZero)
-        } else if stuck1.bit(bit) {
-            Some(FaultPolarity::StuckAtOne)
-        } else {
-            None
-        }
-    }
-
-    /// Runs `f` over every faulty word of the range, in unspecified order,
-    /// through the skip-sampling kernel where the geometry is indexed, with
-    /// the per-tile backend dispatch of `sel`.
-    fn for_each_faulty_sel<F: FnMut(u64, Word256, Word256)>(
+    /// Runs `f` over every per-voltage faulty word of the range, in
+    /// unspecified order, through the skip-sampling kernel where the
+    /// geometry is indexed, with the per-tile backend dispatch of `sel`.
+    pub(crate) fn for_each_faulty_sel<F: FnMut(u64, Word256, Word256)>(
         &self,
         pc: PcIndex,
         words: &Range<u64>,
@@ -893,7 +850,7 @@ impl FaultInjector {
                     continue;
                 }
                 let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs, false));
-                let (s0, s1) = self.masks_from_probs_sel(pc, w, probs, plan, sel.isa());
+                let (s0, s1) = self.masks_from_probs(pc, w, probs, plan, sel.isa());
                 if !(s0.is_zero() && s1.is_zero()) {
                     f(w, s0, s1);
                 }
@@ -958,128 +915,6 @@ impl FaultInjector {
                 }
             }
         }
-    }
-
-    /// Counts faulty bits of each polarity over a contiguous word range of
-    /// one pseudo channel: `(stuck-at-0, stuck-at-1)`.
-    ///
-    /// This is what a write/read-back test with both data patterns measures.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::count_range")]
-    #[must_use]
-    pub fn count_range(&self, pc: PcIndex, words: Range<u64>, supply: Millivolts) -> (u64, u64) {
-        self.count_range_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::count_range`].
-    pub(crate) fn count_range_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> (u64, u64) {
-        let mut n0 = 0u64;
-        let mut n1 = 0u64;
-        self.for_each_faulty_sel(pc, &words, supply, sel, |_, s0, s1| {
-            n0 += u64::from(s0.count_ones());
-            n1 += u64::from(s1.count_ones());
-        });
-        (n0, n1)
-    }
-
-    /// Collects the faulty words of a range in ascending offset order,
-    /// yielding `(offset, stuck0, stuck1)` per faulty word. This is the
-    /// bulk-kernel entry point the cached-mask execution mode reuses across
-    /// batch passes and data patterns.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::faulty_words")]
-    #[must_use]
-    pub fn faulty_words(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        self.faulty_words_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::faulty_words`].
-    pub(crate) fn faulty_words_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        let mut out = Vec::new();
-        self.for_each_faulty_sel(pc, &words, supply, sel, |w, s0, s1| {
-            out.push((WordOffset(w), s0, s1));
-        });
-        out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
-        out
-    }
-
-    /// Streams every faulty word of the range through `f` as
-    /// `(offset, stuck0, stuck1)`, in unspecified order, without
-    /// materializing a mask vector. This is the zero-allocation counterpart
-    /// of [`FaultInjector::faulty_words`] for callers that fold the masks
-    /// into order-independent aggregates (sums, counts) on the fly — the
-    /// dense-fault regime where a collected vector would rival the size of
-    /// the scanned range itself.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::for_each_faulty_word")]
-    pub fn for_each_faulty_word<F: FnMut(WordOffset, Word256, Word256)>(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        mut f: F,
-    ) {
-        self.for_each_faulty_word_sel(pc, words, supply, BackendSel::Scalar, &mut |o, s0, s1| {
-            f(o, s0, s1);
-        });
-    }
-
-    /// Backend-selected [`FaultInjector::for_each_faulty_word`]. Takes a
-    /// `dyn` callback so the [`crate::MaskKernel`] trait stays object-safe.
-    pub(crate) fn for_each_faulty_word_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-        f: &mut dyn FnMut(WordOffset, Word256, Word256),
-    ) {
-        self.for_each_faulty_sel(pc, &words, supply, sel, |w, s0, s1| {
-            f(WordOffset(w), s0, s1);
-        });
-    }
-
-    /// Iterates over the *faulty* words of a range in ascending offset
-    /// order, yielding `(offset, stuck0, stuck1)` and skipping clean words —
-    /// the fast path for building fault maps and health scans in the
-    /// sparse-fault regime.
-    pub fn scan_faulty(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> Box<dyn Iterator<Item = (WordOffset, Word256, Word256)> + '_> {
-        if supply >= self.params.landmarks.v_min || words.is_empty() {
-            return Box::new(std::iter::empty());
-        }
-        if self.grid.words_per_pc <= MAX_INDEXED_WORDS_PER_PC {
-            return Box::new(
-                self.faulty_words_sel(pc, words, supply, BackendSel::Scalar)
-                    .into_iter(),
-            );
-        }
-        // Unindexed geometries keep the lazy walk (no allocation
-        // proportional to the fault count).
-        let table = self.tile_table(pc, supply);
-        Box::new(words.filter_map(move |w| {
-            let probs = table.tiles[self.grid.tile_of(w)];
-            let (s0, s1) = self.masks_from_probs(pc, w, probs);
-            (!(s0.is_zero() && s1.is_zero())).then_some((WordOffset(w), s0, s1))
-        }))
     }
 
     // ------------------------------------------------------------------
@@ -1227,21 +1062,9 @@ impl FaultInjector {
     /// fault-free, and inclusion-monotone across descending voltage by
     /// construction. The expected per-bit fault rate equals the legacy
     /// field's (`share_π × c_π`), so the two fields are statistically
-    /// interchangeable at any single voltage.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::masks")]
-    #[must_use]
-    pub fn coupled_stuck_masks(
-        &self,
-        pc: PcIndex,
-        offset: WordOffset,
-        supply: Millivolts,
-    ) -> (Word256, Word256) {
-        self.coupled_stuck_masks_sel(pc, offset, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_stuck_masks`].
-    /// Single-word queries do not touch the dispatch counters.
-    pub(crate) fn coupled_stuck_masks_sel(
+    /// interchangeable at any single voltage. Single-word queries do not
+    /// touch the dispatch counters.
+    pub(crate) fn coupled_stuck_masks(
         &self,
         pc: PcIndex,
         offset: WordOffset,
@@ -1266,7 +1089,7 @@ impl FaultInjector {
     /// Runs `f` over every word of the range with at least one
     /// coupled-field faulty bit, in unspecified order, yielding the masks
     /// and both next-clean thresholds.
-    fn coupled_for_each_active<F: FnMut(u64, Word256, Word256, f64, f64)>(
+    pub(crate) fn coupled_for_each_active<F: FnMut(u64, Word256, Word256, f64, f64)>(
         &self,
         pc: PcIndex,
         words: &Range<u64>,
@@ -1334,75 +1157,6 @@ impl FaultInjector {
         }
     }
 
-    /// Collects the coupled-field faulty words of a range in ascending
-    /// offset order — the [`crate::FaultFieldMode::MonotoneCoupled`]
-    /// counterpart of [`FaultInjector::faulty_words`].
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::faulty_words")]
-    #[must_use]
-    pub fn coupled_faulty_words(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        self.coupled_faulty_words_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_faulty_words`].
-    pub(crate) fn coupled_faulty_words_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        let mut out = Vec::new();
-        self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1, _, _| {
-            out.push((WordOffset(w), s0, s1));
-        });
-        out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
-        out
-    }
-
-    /// Streams every coupled-field faulty word of the range through `f` as
-    /// `(offset, stuck0, stuck1)`, in unspecified order — the
-    /// [`crate::FaultFieldMode::MonotoneCoupled`] counterpart of
-    /// [`FaultInjector::for_each_faulty_word`] for dense-regime streaming
-    /// folds.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::for_each_faulty_word")]
-    pub fn coupled_for_each_faulty<F: FnMut(WordOffset, Word256, Word256)>(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        mut f: F,
-    ) {
-        self.coupled_for_each_faulty_sel(
-            pc,
-            words,
-            supply,
-            BackendSel::Scalar,
-            &mut |o, s0, s1| {
-                f(o, s0, s1);
-            },
-        );
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_for_each_faulty`]. Takes a
-    /// `dyn` callback so the [`crate::MaskKernel`] trait stays object-safe.
-    pub(crate) fn coupled_for_each_faulty_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-        f: &mut dyn FnMut(WordOffset, Word256, Word256),
-    ) {
-        self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1, _, _| {
-            f(WordOffset(w), s0, s1);
-        });
-    }
-
     /// The expected fraction of words with at least one faulty bit at
     /// `supply`, averaged over the pseudo channel's tiles — `0.0` in the
     /// guardband. Identical for both fault-field modes (they share the
@@ -1427,159 +1181,6 @@ impl FaultInjector {
         sum / table.tiles.len() as f64
     }
 
-    /// Counts coupled-field faulty bits of each polarity over a contiguous
-    /// word range: `(stuck-at-0, stuck-at-1)`.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::count_range")]
-    #[must_use]
-    pub fn coupled_count_range(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> (u64, u64) {
-        self.coupled_count_range_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_count_range`].
-    pub(crate) fn coupled_count_range_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> (u64, u64) {
-        let mut n0 = 0u64;
-        let mut n1 = 0u64;
-        self.coupled_for_each_active(pc, &words, supply, sel, |_, s0, s1, _, _| {
-            n0 += u64::from(s0.count_ones());
-            n1 += u64::from(s1.count_ones());
-        });
-        (n0, n1)
-    }
-
-    /// The coupled-field words of `words` that *activate* — gain their
-    /// first faulty bit — when the supply descends from `v_prev` to
-    /// `v_next`, with their full masks at `v_next`, ascending by offset.
-    ///
-    /// A word already faulty at `v_prev` is **not** reported even if it
-    /// gains further bits at `v_next`; callers patching a carried working
-    /// set use [`FaultInjector::coupled_carry_advance`], which also
-    /// refreshes grown words. With `v_prev` at or above the guardband this
-    /// equals [`FaultInjector::coupled_faulty_words`] at `v_next`; with
-    /// `v_next > v_prev` (not a descent) it is empty.
-    ///
-    /// # Performance
-    ///
-    /// Activations are located on the per-tile sorted
-    /// minimum-bit-threshold index (built once per pseudo channel,
-    /// voltage- and temperature-free): each tile and class contributes the
-    /// slice of words whose minimum threshold lies in
-    /// `[c(v_prev), c(v_next))`, found by two binary searches. The call
-    /// therefore costs `O(T·log W + A·256)` hash draws, where `A` is the
-    /// number of activating words — independent of how many words are
-    /// already faulty, which is what makes a descending sweep scale with
-    /// fault *deltas* instead of *points × words*. The per-bit fault test
-    /// and the prefix predicate are the same comparison (`threshold < c`),
-    /// so the enumerated set is exact, not a superset needing recheck.
-    /// Geometries above the index cap fall back to a per-word walk of the
-    /// range (one bit pass per word, evaluating both voltages at once).
-    #[must_use]
-    pub fn faulty_words_delta(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        v_prev: Millivolts,
-        v_next: Millivolts,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        let mut out = Vec::new();
-        if words.is_empty() || v_next >= self.params.landmarks.v_min || v_next > v_prev {
-            return out;
-        }
-        assert!(
-            words.end <= self.grid.words_per_pc,
-            "word range end {} out of range for geometry ({} words/pc)",
-            words.end,
-            self.grid.words_per_pc
-        );
-        let next = self.tile_table(pc, v_next);
-        let prev_tiles =
-            (v_prev < self.params.landmarks.v_min).then(|| self.build_tile_table(pc, v_prev).tiles);
-        let prev_c = |tile: usize| {
-            prev_tiles
-                .as_ref()
-                .map_or((0.0, 0.0), |t| (t[tile].c0, t[tile].c1))
-        };
-        let Some(index) = self.pc_coupled_index(pc) else {
-            let s0_share = self.params.stuck0_share;
-            let pcu = u64::from(pc.as_u8());
-            for w in words.clone() {
-                let tile = self.grid.tile_of(w);
-                let probs = next.tiles[tile];
-                if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                    continue;
-                }
-                let (c0p, c1p) = prev_c(tile);
-                let mut active_prev = false;
-                let mut stuck0 = Word256::ZERO;
-                let mut stuck1 = Word256::ZERO;
-                for bit in 0u32..Word256::BITS {
-                    let h = combine(&[self.seed, pcu, w, TAG_CBIT, u64::from(bit)]);
-                    let (class_u, t) = unit_pair(h);
-                    if class_u < s0_share {
-                        if t < probs.c0 {
-                            stuck0 = stuck0.with_bit_set(bit);
-                        }
-                        active_prev |= t < c0p;
-                    } else {
-                        if t < probs.c1 {
-                            stuck1 = stuck1.with_bit_set(bit);
-                        }
-                        active_prev |= t < c1p;
-                    }
-                }
-                let active_next = !stuck0.is_zero() || !stuck1.is_zero();
-                if !active_prev && active_next {
-                    out.push((WordOffset(w), stuck0, stuck1));
-                }
-            }
-            out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
-            return out;
-        };
-        for (tile, probs) in next.tiles.iter().enumerate() {
-            if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                continue;
-            }
-            let (c0p, c1p) = prev_c(tile);
-            for &w32 in index.class0.activated(tile, c0p, probs.c0) {
-                let w = u64::from(w32);
-                if !words.contains(&w) {
-                    continue;
-                }
-                // Skip words that were already active through class 1.
-                if index.class1.by_word[w32 as usize] < c1p {
-                    continue;
-                }
-                let (s0, s1, _, _) = self.coupled_word(pc, w, probs.c0, probs.c1);
-                out.push((WordOffset(w), s0, s1));
-            }
-            for &w32 in index.class1.activated(tile, c1p, probs.c1) {
-                let w = u64::from(w32);
-                if !words.contains(&w) {
-                    continue;
-                }
-                // Skip words active — or activating — through class 0;
-                // those were handled by the class-0 slice.
-                if index.class0.by_word[w32 as usize] < probs.c0 {
-                    continue;
-                }
-                let (s0, s1, _, _) = self.coupled_word(pc, w, probs.c0, probs.c1);
-                out.push((WordOffset(w), s0, s1));
-            }
-        }
-        out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
-        out
-    }
-
     /// Builds the carried working set of a descending sweep at its first
     /// measured point: every coupled-field faulty word of the range at
     /// `supply`, plus the state that makes
@@ -1595,19 +1196,7 @@ impl FaultInjector {
     /// storage. Both tiers produce bit-identical masks.
     ///
     /// The build is accounted as `activated` words in the returned stats.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::carry_start")]
-    #[must_use]
-    pub fn coupled_carry_start(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> (PcSweepCarry, CarryStats) {
-        self.coupled_carry_start_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_carry_start`].
-    pub(crate) fn coupled_carry_start_sel(
+    pub(crate) fn coupled_carry_start(
         &self,
         pc: PcIndex,
         words: Range<u64>,
@@ -1801,8 +1390,7 @@ impl FaultInjector {
 
     /// Advances a carried working set to a lower supply voltage, touching
     /// only the words whose masks change. The resulting masks are
-    /// bit-identical to [`FaultInjector::coupled_faulty_words`] at
-    /// `supply`.
+    /// bit-identical to a from-scratch coupled enumeration at `supply`.
     ///
     /// A non-descending `supply` or a temperature change since the carry
     /// was built voids the carry: it is rebuilt from scratch (accounted as
@@ -1820,19 +1408,9 @@ impl FaultInjector {
     /// the word-granular fallback tier a carried word is reused untouched
     /// unless one of its still-clean minimum thresholds (`next0`/`next1`)
     /// is crossed, in which case its 256 bits are re-enumerated; newly
-    /// activated words are appended from the activation index (the
-    /// stateful counterpart of [`FaultInjector::faulty_words_delta`]).
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::carry_advance")]
-    pub fn coupled_carry_advance(
-        &self,
-        carry: &mut PcSweepCarry,
-        supply: Millivolts,
-    ) -> CarryStats {
-        self.coupled_carry_advance_sel(carry, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_carry_advance`].
-    pub(crate) fn coupled_carry_advance_sel(
+    /// activated words are appended from the activation index, two binary
+    /// searches per tile and class on the sorted minimum thresholds.
+    pub(crate) fn coupled_carry_advance(
         &self,
         carry: &mut PcSweepCarry,
         supply: Millivolts,
@@ -1840,7 +1418,7 @@ impl FaultInjector {
     ) -> CarryStats {
         if supply > carry.voltage || carry.temperature != self.temperature {
             let (fresh, stats) =
-                self.coupled_carry_start_sel(carry.pc, carry.words.clone(), supply, sel);
+                self.coupled_carry_start(carry.pc, carry.words.clone(), supply, sel);
             *carry = fresh;
             return stats;
         }
@@ -2048,7 +1626,7 @@ impl FaultInjector {
     ///
     /// Panics when `schedule` is not strictly descending, or when a
     /// tile's class probability shrinks along it.
-    pub(crate) fn coupled_count_descent_sel(
+    pub(crate) fn coupled_count_descent(
         &self,
         pc: PcIndex,
         words: Range<u64>,
@@ -2103,7 +1681,7 @@ impl FaultInjector {
         }
     }
 
-    /// The hash pass of [`FaultInjector::coupled_count_descent_sel`]. Per
+    /// The hash pass of [`FaultInjector::coupled_count_descent`]. Per
     /// tile the range touches, `rows` turns the two classes' per-knot
     /// probabilities into the arm's lookup state; `first_faulty` maps a
     /// bit's hash to its first faulty knot, `schedule.len()` when the bit
@@ -2295,11 +1873,9 @@ fn p_any(p_bit: f64) -> f64 {
 }
 
 #[cfg(test)]
-// The legacy entry points stay under test for their deprecation release:
-// they are the scalar reference the kernel backends are compared against.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::{FaultFieldMode, FieldKernel, KernelBackend, MaskKernel};
 
     #[test]
     fn knot_cuts_count_the_cuts_at_or_below_every_key() {
@@ -2374,6 +1950,17 @@ mod tests {
         PcIndex::new(i).unwrap()
     }
 
+    /// The scalar per-voltage kernel, the oracle the other backends are
+    /// compared against.
+    fn per_voltage(inj: &FaultInjector) -> FieldKernel<'_> {
+        inj.kernel(FaultFieldMode::PerVoltage, KernelBackend::Scalar)
+    }
+
+    /// The scalar coupled-field kernel.
+    fn coupled(inj: &FaultInjector) -> FieldKernel<'_> {
+        inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar)
+    }
+
     #[test]
     fn p_any_matches_naive() {
         for p in [1e-12f64, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 0.999, 1.0] {
@@ -2410,7 +1997,7 @@ mod tests {
     #[test]
     fn polarity_split_near_configured_share() {
         let inj = injector();
-        let (n0, n1) = inj.count_range(pc(0), 0..2048, Millivolts(820));
+        let (n0, n1) = per_voltage(&inj).count_range(pc(0), 0..2048, Millivolts(820));
         let total = (n0 + n1) as f64;
         let share0 = n0 as f64 / total;
         assert!((share0 - 0.47).abs() < 0.02, "share0 = {share0}");
@@ -2504,31 +2091,13 @@ mod tests {
     }
 
     #[test]
-    fn bit_fault_agrees_with_masks() {
-        let inj = injector();
-        let v = Millivolts(845);
-        let w = WordOffset(11);
-        let (s0, s1) = inj.stuck_masks(pc(3), w, v);
-        for bit in 0..256 {
-            let expected = if s0.bit(bit) {
-                Some(FaultPolarity::StuckAtZero)
-            } else if s1.bit(bit) {
-                Some(FaultPolarity::StuckAtOne)
-            } else {
-                None
-            };
-            assert_eq!(inj.bit_fault(pc(3), w, bit, v), expected);
-        }
-    }
-
-    #[test]
     fn measured_rate_tracks_model_rate() {
         // At a mid-range voltage, the empirical rate over a decent sample
         // should approximate s0·c0 + s1·c1 averaged over variation.
         let inj = injector();
         let v = Millivolts(860);
         let words = 8192u64;
-        let (n0, n1) = inj.count_range(pc(7), 0..words, v);
+        let (n0, n1) = per_voltage(&inj).count_range(pc(7), 0..words, v);
         let measured = (n0 + n1) as f64 / (words as f64 * 256.0);
 
         // Average the analytic rate over the same words.
@@ -2552,35 +2121,9 @@ mod tests {
         hot.set_temperature(Celsius(55.0));
         let cold = injector();
         let v = Millivolts(900);
-        let (h0, h1) = hot.count_range(pc(0), 0..4096, v);
-        let (c0, c1) = cold.count_range(pc(0), 0..4096, v);
+        let (h0, h1) = per_voltage(&hot).count_range(pc(0), 0..4096, v);
+        let (c0, c1) = per_voltage(&cold).count_range(pc(0), 0..4096, v);
         assert!(h0 + h1 >= c0 + c1, "hot {h0}+{h1} vs cold {c0}+{c1}");
-    }
-
-    #[test]
-    fn scan_faulty_agrees_with_full_enumeration() {
-        let inj = injector();
-        let v = Millivolts(880);
-        let scanned: Vec<_> = inj.scan_faulty(pc(4), 0..4096, v).collect();
-        // Same totals as the counting walk.
-        let (n0, n1) = inj.count_range(pc(4), 0..4096, v);
-        let scan0: u64 = scanned
-            .iter()
-            .map(|(_, s0, _)| u64::from(s0.count_ones()))
-            .sum();
-        let scan1: u64 = scanned
-            .iter()
-            .map(|(_, _, s1)| u64::from(s1.count_ones()))
-            .sum();
-        assert_eq!((scan0, scan1), (n0, n1));
-        // Every yielded word really is faulty, and none is yielded twice.
-        let mut seen = std::collections::HashSet::new();
-        for (offset, s0, s1) in &scanned {
-            assert!(!(*s0 | *s1).is_zero());
-            assert!(seen.insert(offset.0));
-        }
-        // In the guardband, the scan yields nothing.
-        assert_eq!(inj.scan_faulty(pc(4), 0..4096, Millivolts(990)).count(), 0);
     }
 
     #[test]
@@ -2630,7 +2173,11 @@ mod tests {
                 n0 += u64::from(s0.count_ones());
                 n1 += u64::from(s1.count_ones());
             }
-            assert_eq!(inj.count_range(pc(4), range, v), (n0, n1), "at {v}");
+            assert_eq!(
+                per_voltage(&inj).count_range(pc(4), range, v),
+                (n0, n1),
+                "at {v}"
+            );
         }
     }
 
@@ -2639,18 +2186,18 @@ mod tests {
         let mut inj = injector();
         let v = Millivolts(900);
         // Populate the tile cache at ambient …
-        let cold = inj.count_range(pc(0), 0..4096, v);
+        let cold = per_voltage(&inj).count_range(pc(0), 0..4096, v);
         // … then heat the device: cached tile probabilities must be rebuilt,
         // matching an injector that never cached at ambient.
         inj.set_temperature(Celsius(55.0));
         let mut fresh = injector();
         fresh.set_temperature(Celsius(55.0));
         assert_eq!(
-            inj.count_range(pc(0), 0..4096, v),
-            fresh.count_range(pc(0), 0..4096, v)
+            per_voltage(&inj).count_range(pc(0), 0..4096, v),
+            per_voltage(&fresh).count_range(pc(0), 0..4096, v)
         );
         assert_ne!(
-            inj.count_range(pc(0), 0..4096, v),
+            per_voltage(&inj).count_range(pc(0), 0..4096, v),
             cold,
             "a 20 °C rise must change the fault count at 900 mV"
         );
@@ -2667,24 +2214,32 @@ mod tests {
     fn clones_invalidate_independently() {
         let mut original = injector();
         let v = Millivolts(900);
-        let at_ambient = original.count_range(pc(0), 0..512, v); // warm cache
+        let at_ambient = per_voltage(&original).count_range(pc(0), 0..512, v); // warm cache
         let clone = original.clone();
         original.set_temperature(Celsius(55.0));
         assert_eq!(
-            clone.count_range(pc(0), 0..512, v),
+            per_voltage(&clone).count_range(pc(0), 0..512, v),
             at_ambient,
             "heating the original must not touch the clone's cache"
         );
     }
 
     #[test]
-    fn faulty_words_sorted_and_matches_scan() {
+    fn faulty_words_sorted_and_matches_stream() {
         let inj = injector();
         let v = Millivolts(870);
-        let bulk = inj.faulty_words(pc(2), 0..4096, v);
-        assert!(bulk.windows(2).all(|w| w[0].0 .0 < w[1].0 .0));
-        let scanned: Vec<_> = inj.scan_faulty(pc(2), 0..4096, v).collect();
-        assert_eq!(bulk, scanned);
+        for field in [FaultFieldMode::PerVoltage, FaultFieldMode::MonotoneCoupled] {
+            let kernel = inj.kernel(field, KernelBackend::Scalar);
+            let bulk = kernel.faulty_words(pc(2), 0..4096, v);
+            assert!(!bulk.is_empty());
+            assert!(bulk.windows(2).all(|w| w[0].0 .0 < w[1].0 .0));
+            let mut streamed = Vec::new();
+            kernel.for_each_faulty_word(pc(2), 0..4096, v, &mut |o, s0, s1| {
+                streamed.push((o, s0, s1));
+            });
+            streamed.sort_unstable_by_key(|&(offset, _, _)| offset.0);
+            assert_eq!(bulk, streamed, "{field:?}");
+        }
     }
 
     #[test]
@@ -2703,12 +2258,10 @@ mod tests {
                 n0 += u64::from(s0.count_ones());
                 n1 += u64::from(s1.count_ones());
             }
-            assert_eq!(inj.count_range(pc(1), 0..2048, v), (n0, n1), "at {v}");
-            let lazy: Vec<_> = inj.scan_faulty(pc(1), 0..2048, v).collect();
             assert_eq!(
-                lazy,
-                inj.faulty_words(pc(1), 0..2048, v),
-                "lazy scan and bulk collection diverge at {v}"
+                per_voltage(&inj).count_range(pc(1), 0..2048, v),
+                (n0, n1),
+                "at {v}"
             );
         }
     }
@@ -2718,7 +2271,7 @@ mod tests {
         let inj = injector();
         for v in [1200u32, 1000, 990, 980] {
             for w in 0..128 {
-                let (s0, s1) = inj.coupled_stuck_masks(pc(5), WordOffset(w), Millivolts(v));
+                let (s0, s1) = coupled(&inj).masks(pc(5), WordOffset(w), Millivolts(v));
                 assert!(s0.is_zero() && s1.is_zero(), "coupled fault at {v} mV");
             }
         }
@@ -2729,16 +2282,16 @@ mod tests {
         let inj = injector();
         for w in 0..64 {
             let v = Millivolts(820);
-            let (s0, s1) = inj.coupled_stuck_masks(pc(0), WordOffset(w), v);
+            let (s0, s1) = coupled(&inj).masks(pc(0), WordOffset(w), v);
             assert_eq!((s0 | s1).count_ones(), 256, "word {w} not fully faulty");
             assert!((s0 & s1).is_zero());
-            assert_eq!(inj.coupled_stuck_masks(pc(0), WordOffset(w), v), (s0, s1));
+            assert_eq!(coupled(&inj).masks(pc(0), WordOffset(w), v), (s0, s1));
         }
         // The coupled field is a different specimen realization than the
         // legacy field at the same seed (distinct hash domains).
         let mid = Millivolts(870);
         let differs = (0..512).any(|w| {
-            inj.coupled_stuck_masks(pc(0), WordOffset(w), mid)
+            coupled(&inj).masks(pc(0), WordOffset(w), mid)
                 != inj.stuck_masks(pc(0), WordOffset(w), mid)
         });
         assert!(differs, "coupled and legacy fields should not coincide");
@@ -2752,7 +2305,7 @@ mod tests {
             let mut prev1 = Word256::ZERO;
             let mut v = Millivolts(980);
             while v >= Millivolts(820) {
-                let (s0, s1) = inj.coupled_stuck_masks(pc(2), WordOffset(w), v);
+                let (s0, s1) = coupled(&inj).masks(pc(2), WordOffset(w), v);
                 assert_eq!(s0 & prev0, prev0, "stuck-0 set shrank at {v} word {w}");
                 assert_eq!(s1 & prev1, prev1, "stuck-1 set shrank at {v} word {w}");
                 prev0 = s0;
@@ -2770,14 +2323,14 @@ mod tests {
             let range = 0u64..2048;
             let mut expected = Vec::new();
             for w in range.clone() {
-                let (s0, s1) = inj.coupled_stuck_masks(pc(6), WordOffset(w), v);
+                let (s0, s1) = coupled(&inj).masks(pc(6), WordOffset(w), v);
                 if !(s0.is_zero() && s1.is_zero()) {
                     expected.push((WordOffset(w), s0, s1));
                 }
             }
-            let bulk = inj.coupled_faulty_words(pc(6), range.clone(), v);
+            let bulk = coupled(&inj).faulty_words(pc(6), range.clone(), v);
             assert_eq!(bulk, expected, "coupled enumeration diverges at {v}");
-            let (n0, n1) = inj.coupled_count_range(pc(6), range, v);
+            let (n0, n1) = coupled(&inj).count_range(pc(6), range, v);
             let sum0: u64 = expected
                 .iter()
                 .map(|(_, s0, _)| u64::from(s0.count_ones()))
@@ -2796,8 +2349,8 @@ mod tests {
         // counts over a decent sample must agree statistically.
         let inj = injector();
         let v = Millivolts(860);
-        let (l0, l1) = inj.count_range(pc(7), 0..8192, v);
-        let (c0, c1) = inj.coupled_count_range(pc(7), 0..8192, v);
+        let (l0, l1) = per_voltage(&inj).count_range(pc(7), 0..8192, v);
+        let (c0, c1) = coupled(&inj).count_range(pc(7), 0..8192, v);
         let legacy = (l0 + l1) as f64;
         let coupled = (c0 + c1) as f64;
         let ratio = coupled / legacy;
@@ -2808,64 +2361,25 @@ mod tests {
     }
 
     #[test]
-    fn faulty_words_delta_matches_set_difference() {
-        let inj = injector();
-        let range = 0u64..4096;
-        for (hi, lo) in [
-            (990u32, 965u32),
-            (965, 940),
-            (940, 900),
-            (900, 860),
-            (860, 830),
-        ] {
-            let (hi, lo) = (Millivolts(hi), Millivolts(lo));
-            let before: std::collections::HashSet<u64> = inj
-                .coupled_faulty_words(pc(3), range.clone(), hi)
-                .iter()
-                .map(|&(offset, _, _)| offset.0)
-                .collect();
-            let expected: Vec<_> = inj
-                .coupled_faulty_words(pc(3), range.clone(), lo)
-                .into_iter()
-                .filter(|(offset, _, _)| !before.contains(&offset.0))
-                .collect();
-            let delta = inj.faulty_words_delta(pc(3), range.clone(), hi, lo);
-            assert_eq!(delta, expected, "delta diverges for {hi} → {lo}");
-        }
-        // A non-descent or a same-voltage window is empty.
-        assert!(inj
-            .faulty_words_delta(pc(3), range.clone(), Millivolts(900), Millivolts(900))
-            .is_empty());
-        assert!(inj
-            .faulty_words_delta(pc(3), range.clone(), Millivolts(900), Millivolts(950))
-            .is_empty());
-        // From inside the guardband the delta is the full faulty set.
-        assert_eq!(
-            inj.faulty_words_delta(pc(3), range.clone(), Millivolts(1200), Millivolts(900)),
-            inj.coupled_faulty_words(pc(3), range, Millivolts(900))
-        );
-    }
-
-    #[test]
     fn carry_advance_is_bit_identical_to_rescan() {
         let inj = injector();
         let range = 0u64..4096;
         let mut v = Millivolts(990);
-        let (mut carry, start) = inj.coupled_carry_start(pc(2), range.clone(), v);
+        let (mut carry, start) = coupled(&inj).carry_start(pc(2), range.clone(), v);
         assert_eq!(carry.voltage(), v);
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(2), range.clone(), v)
+            coupled(&inj).faulty_words(pc(2), range.clone(), v)
         );
         let mut total = start;
         while v > Millivolts(820) {
             v = v.saturating_sub(Millivolts(10));
-            let stats = inj.coupled_carry_advance(&mut carry, v);
+            let stats = coupled(&inj).carry_advance(&mut carry, v);
             total.absorb(stats);
             assert_eq!(carry.voltage(), v);
             assert_eq!(
                 carry.masks(),
-                inj.coupled_faulty_words(pc(2), range.clone(), v),
+                coupled(&inj).faulty_words(pc(2), range.clone(), v),
                 "carry diverged from rescan at {v}"
             );
         }
@@ -2873,7 +2387,7 @@ mod tests {
         assert!(!carry.is_empty());
         // Below both saturation voltages every bit has flipped: a further
         // advance is pure reuse — nothing pending, nothing re-enumerated.
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(815));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(815));
         assert_eq!(stats.carried, carry.len() as u64);
         assert_eq!(stats.delta_words(), 0);
         assert_eq!(stats.reuse_ratio(), 1.0);
@@ -2886,19 +2400,19 @@ mod tests {
         let inj = injector();
         let range = 0u64..8192;
         assert!(range.end - range.start > MAX_BIT_CARRY_WORDS);
-        let (mut carry, _) = inj.coupled_carry_start(pc(2), range.clone(), Millivolts(990));
+        let (mut carry, _) = coupled(&inj).carry_start(pc(2), range.clone(), Millivolts(990));
         for v in [970u32, 940, 900, 870, 840, 820] {
             let v = Millivolts(v);
-            inj.coupled_carry_advance(&mut carry, v);
+            coupled(&inj).carry_advance(&mut carry, v);
             assert_eq!(
                 carry.masks(),
-                inj.coupled_faulty_words(pc(2), range.clone(), v),
+                coupled(&inj).faulty_words(pc(2), range.clone(), v),
                 "word-tier carry diverged from rescan at {v}"
             );
         }
         // Saturated: the word tier's next-thresholds are all exhausted, so
         // a further advance is also pure reuse.
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(815));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(815));
         assert_eq!(stats.carried, carry.len() as u64);
         assert_eq!(stats.delta_words(), 0);
     }
@@ -2907,25 +2421,25 @@ mod tests {
     fn carry_rebuilds_on_ascent_or_temperature_change() {
         let mut inj = injector();
         let range = 0u64..1024;
-        let (mut carry, _) = inj.coupled_carry_start(pc(4), range.clone(), Millivolts(880));
+        let (mut carry, _) = coupled(&inj).carry_start(pc(4), range.clone(), Millivolts(880));
         // Ascending is not a descent: the carry is rebuilt, still exact.
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(940));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(940));
         assert_eq!(stats.carried, 0);
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(4), range.clone(), Millivolts(940))
+            coupled(&inj).faulty_words(pc(4), range.clone(), Millivolts(940))
         );
         // A temperature change voids the carried probabilities.
         inj.set_temperature(Celsius(55.0));
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(920));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(920));
         assert_eq!(stats.carried, 0);
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(4), range.clone(), Millivolts(920))
+            coupled(&inj).faulty_words(pc(4), range.clone(), Millivolts(920))
         );
         // Advancing to the same voltage is a carried no-op.
         let len = carry.len() as u64;
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(920));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(920));
         assert_eq!(stats.carried, len);
         assert_eq!(stats.delta_words(), 0);
     }
@@ -2940,45 +2454,33 @@ mod tests {
             let v = Millivolts(v);
             let mut expected = Vec::new();
             for w in range.clone() {
-                let (s0, s1) = inj.coupled_stuck_masks(pc(1), WordOffset(w), v);
+                let (s0, s1) = coupled(&inj).masks(pc(1), WordOffset(w), v);
                 if !(s0.is_zero() && s1.is_zero()) {
                     expected.push((WordOffset(w), s0, s1));
                 }
             }
             assert_eq!(
-                inj.coupled_faulty_words(pc(1), range.clone(), v),
+                coupled(&inj).faulty_words(pc(1), range.clone(), v),
                 expected,
                 "unindexed coupled enumeration diverges at {v}"
             );
         }
-        // Delta and carry advance agree with rescans through the fallback.
-        let delta = inj.faulty_words_delta(pc(1), range.clone(), Millivolts(940), Millivolts(880));
-        let before: std::collections::HashSet<u64> = inj
-            .coupled_faulty_words(pc(1), range.clone(), Millivolts(940))
-            .iter()
-            .map(|&(offset, _, _)| offset.0)
-            .collect();
-        let expected: Vec<_> = inj
-            .coupled_faulty_words(pc(1), range.clone(), Millivolts(880))
-            .into_iter()
-            .filter(|(offset, _, _)| !before.contains(&offset.0))
-            .collect();
-        assert_eq!(delta, expected);
-        let (mut carry, _) = inj.coupled_carry_start(pc(1), range.clone(), Millivolts(940));
-        inj.coupled_carry_advance(&mut carry, Millivolts(880));
+        // The carry advance agrees with rescans through the fallback.
+        let (mut carry, _) = coupled(&inj).carry_start(pc(1), range.clone(), Millivolts(940));
+        coupled(&inj).carry_advance(&mut carry, Millivolts(880));
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(1), range, Millivolts(880))
+            coupled(&inj).faulty_words(pc(1), range, Millivolts(880))
         );
         // A range above the bit-carry cap takes the word tier's unindexed
         // two-pointer fallback for newly activated words.
         let wide = 0u64..6000;
         assert!(wide.end - wide.start > MAX_BIT_CARRY_WORDS);
-        let (mut carry, _) = inj.coupled_carry_start(pc(1), wide.clone(), Millivolts(940));
-        inj.coupled_carry_advance(&mut carry, Millivolts(880));
+        let (mut carry, _) = coupled(&inj).carry_start(pc(1), wide.clone(), Millivolts(940));
+        coupled(&inj).carry_advance(&mut carry, Millivolts(880));
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(1), wide, Millivolts(880))
+            coupled(&inj).faulty_words(pc(1), wide, Millivolts(880))
         );
     }
 }

@@ -1,12 +1,11 @@
-//! The unified mask-generation kernel API.
+//! The mask-generation kernel API.
 //!
-//! Historically the injector accreted one entry point per enumeration
-//! strategy (the per-word reference path, the tiled scan, the coupled
-//! family, the carry start/advance pair), and every caller had to match on
-//! [`FaultFieldMode`] to pick the right family. This module collapses them
-//! behind one [`MaskKernel`] trait: callers obtain a kernel with
-//! [`FaultInjector::kernel`], choosing a [`KernelBackend`], and every mask
-//! query dispatches on the configured fault field internally.
+//! [`MaskKernel`] is the one surface over the injector's per-bit fault
+//! field: single-word masks, the per-word reference oracle, range
+//! enumerations and counts, carried descents and count-only descents.
+//! Callers obtain a kernel with [`FaultInjector::kernel`], choosing a
+//! [`FaultFieldMode`] and a [`KernelBackend`]; every query dispatches on
+//! the field internally, so no caller matches on it.
 //!
 //! # Backends
 //!
@@ -200,8 +199,10 @@ pub trait MaskKernel {
         supply: Millivolts,
     ) -> Vec<(WordOffset, Word256, Word256)>;
 
-    /// Streams every faulty word of `words` to `f` in ascending offset
-    /// order, without materializing a vector.
+    /// Streams every faulty word of `words` to `f`, without materializing
+    /// a vector. The order is unspecified (the scans go tile by tile);
+    /// callers that need offsets ascending use
+    /// [`MaskKernel::faulty_words`].
     fn for_each_faulty_word(
         &self,
         pc: PcIndex,
@@ -288,6 +289,33 @@ impl FaultInjector {
     }
 }
 
+impl FieldKernel<'_> {
+    /// Runs `f` over every faulty word of `words` at `supply` in this
+    /// kernel's field, in unspecified order: the one range scan behind
+    /// [`MaskKernel::faulty_words`], [`MaskKernel::for_each_faulty_word`]
+    /// and [`MaskKernel::count_range`].
+    fn scan<F: FnMut(u64, Word256, Word256)>(
+        &self,
+        pc: PcIndex,
+        words: &Range<u64>,
+        supply: Millivolts,
+        mut f: F,
+    ) {
+        match self.field {
+            FaultFieldMode::PerVoltage => self
+                .injector
+                .for_each_faulty_sel(pc, words, supply, self.sel, f),
+            FaultFieldMode::MonotoneCoupled => self.injector.coupled_for_each_active(
+                pc,
+                words,
+                supply,
+                self.sel,
+                |w, s0, s1, _, _| f(w, s0, s1),
+            ),
+        }
+    }
+}
+
 impl MaskKernel for FieldKernel<'_> {
     fn field(&self) -> FaultFieldMode {
         self.field
@@ -304,7 +332,7 @@ impl MaskKernel for FieldKernel<'_> {
             }
             FaultFieldMode::MonotoneCoupled => self
                 .injector
-                .coupled_stuck_masks_sel(pc, offset, supply, self.sel),
+                .coupled_stuck_masks(pc, offset, supply, self.sel),
         }
     }
 
@@ -320,7 +348,7 @@ impl MaskKernel for FieldKernel<'_> {
             }
             FaultFieldMode::MonotoneCoupled => {
                 self.injector
-                    .coupled_stuck_masks_sel(pc, offset, supply, BackendSel::Scalar)
+                    .coupled_stuck_masks(pc, offset, supply, BackendSel::Scalar)
             }
         }
     }
@@ -331,14 +359,12 @@ impl MaskKernel for FieldKernel<'_> {
         words: Range<u64>,
         supply: Millivolts,
     ) -> Vec<(WordOffset, Word256, Word256)> {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                self.injector.faulty_words_sel(pc, words, supply, self.sel)
-            }
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_faulty_words_sel(pc, words, supply, self.sel),
-        }
+        let mut out = Vec::new();
+        self.scan(pc, &words, supply, |w, s0, s1| {
+            out.push((WordOffset(w), s0, s1));
+        });
+        out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
+        out
     }
 
     fn for_each_faulty_word(
@@ -348,25 +374,16 @@ impl MaskKernel for FieldKernel<'_> {
         supply: Millivolts,
         f: &mut dyn FnMut(WordOffset, Word256, Word256),
     ) {
-        match self.field {
-            FaultFieldMode::PerVoltage => self
-                .injector
-                .for_each_faulty_word_sel(pc, words, supply, self.sel, f),
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_for_each_faulty_sel(pc, words, supply, self.sel, f),
-        }
+        self.scan(pc, &words, supply, |w, s0, s1| f(WordOffset(w), s0, s1));
     }
 
     fn count_range(&self, pc: PcIndex, words: Range<u64>, supply: Millivolts) -> (u64, u64) {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                self.injector.count_range_sel(pc, words, supply, self.sel)
-            }
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_count_range_sel(pc, words, supply, self.sel),
-        }
+        let (mut n0, mut n1) = (0u64, 0u64);
+        self.scan(pc, &words, supply, |_, s0, s1| {
+            n0 += u64::from(s0.count_ones());
+            n1 += u64::from(s1.count_ones());
+        });
+        (n0, n1)
     }
 
     fn expected_active_fraction(&self, pc: PcIndex, supply: Millivolts) -> f64 {
@@ -386,7 +403,7 @@ impl MaskKernel for FieldKernel<'_> {
             }
             FaultFieldMode::MonotoneCoupled => self
                 .injector
-                .coupled_carry_start_sel(pc, words, supply, self.sel),
+                .coupled_carry_start(pc, words, supply, self.sel),
         }
     }
 
@@ -395,9 +412,9 @@ impl MaskKernel for FieldKernel<'_> {
             FaultFieldMode::PerVoltage => {
                 panic!("carried sweeps require FaultFieldMode::MonotoneCoupled")
             }
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_carry_advance_sel(carry, supply, self.sel),
+            FaultFieldMode::MonotoneCoupled => {
+                self.injector.coupled_carry_advance(carry, supply, self.sel)
+            }
         }
     }
 
@@ -408,7 +425,7 @@ impl MaskKernel for FieldKernel<'_> {
             }
             FaultFieldMode::MonotoneCoupled => self
                 .injector
-                .coupled_count_descent_sel(pc, words, schedule, self.sel),
+                .coupled_count_descent(pc, words, schedule, self.sel),
         }
     }
 }

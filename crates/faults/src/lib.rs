@@ -79,7 +79,7 @@ pub use analytic::RatePredictor;
 pub use error::FaultModelError;
 pub use fault_map::{FaultMap, PcRateEntry, PcRateProfile};
 pub use field::{CarryStats, FaultFieldMode, PcSweepCarry};
-pub use injector::{FaultInjector, FaultPolarity};
+pub use injector::FaultInjector;
 pub use kernel::{FieldKernel, InstructionSet, KernelBackend, MaskKernel};
 pub use landmarks::VoltageLandmarks;
 pub use params::FaultModelParams;

@@ -1,10 +1,5 @@
 //! Property-based tests of the fault model's core guarantees.
 
-// The deprecated per-strategy entry points stay under test for their
-// deprecation release: they are the scalar reference the kernel API's
-// backends are checked against.
-#![allow(deprecated)]
-
 use hbm_device::{HbmGeometry, PcIndex, Word256, WordOffset};
 use hbm_faults::{
     FaultFieldMode, FaultInjector, FaultMap, FaultModelParams, KernelBackend, MaskKernel,
@@ -156,8 +151,8 @@ proptest! {
                 expected.push((WordOffset(w), s0, s1));
             }
         }
-        prop_assert_eq!(inj.faulty_words(pc, range.clone(), v), expected.clone());
-        let counted = inj.count_range(pc, range, v);
+        prop_assert_eq!(reference.faulty_words(pc, range.clone(), v), expected.clone());
+        let counted = reference.count_range(pc, range, v);
         let sum0: u64 = expected.iter().map(|(_, s0, _)| u64::from(s0.count_ones())).sum();
         let sum1: u64 = expected.iter().map(|(_, _, s1)| u64::from(s1.count_ones())).sum();
         prop_assert_eq!(counted, (sum0, sum1));
@@ -178,17 +173,18 @@ proptest! {
         let pc = PcIndex::new(pc_index).unwrap();
         let lo = Millivolts(hi.saturating_sub(delta).max(810));
         let hi = Millivolts(hi);
-        let (hi0, hi1) = inj.coupled_stuck_masks(pc, WordOffset(word), hi);
-        let (lo0, lo1) = inj.coupled_stuck_masks(pc, WordOffset(word), lo);
+        let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar);
+        let (hi0, hi1) = kernel.masks(pc, WordOffset(word), hi);
+        let (lo0, lo1) = kernel.masks(pc, WordOffset(word), lo);
         prop_assert_eq!(lo0 & hi0, hi0, "coupled stuck-at-0 set shrank");
         prop_assert_eq!(lo1 & hi1, hi1, "coupled stuck-at-1 set shrank");
     }
 
     /// Tentpole guarantee of the incremental sweep kernel: over a random
     /// descending voltage sequence, the carried working set (start +
-    /// advances) and the delta enumeration are both bit-identical to a
-    /// from-scratch coupled enumeration at every point. Ranges above the
-    /// bit-carry capacity exercise the word-granular tier.
+    /// advances) is bit-identical to a from-scratch coupled enumeration at
+    /// every point. Ranges above the bit-carry capacity exercise the
+    /// word-granular tier.
     #[test]
     fn coupled_carry_matches_from_scratch(
         seed in any::<u64>(),
@@ -202,40 +198,23 @@ proptest! {
         let pc = PcIndex::new(pc_index).unwrap();
         let range = start_word..(start_word + len).min(8192);
 
+        let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar);
+
         let mut v = Millivolts(first_mv);
-        let (mut carry, _) = inj.coupled_carry_start(pc, range.clone(), v);
+        let (mut carry, _) = kernel.carry_start(pc, range.clone(), v);
         prop_assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc, range.clone(), v),
+            kernel.faulty_words(pc, range.clone(), v),
             "carry start diverged at {}", v
         );
 
         for step in steps {
-            let prev = v;
             v = Millivolts(v.as_u32().saturating_sub(step).max(810));
-            let scratch = inj.coupled_faulty_words(pc, range.clone(), v);
-
-            // The carried set advances to exactly the from-scratch set.
-            inj.coupled_carry_advance(&mut carry, v);
-            prop_assert_eq!(&carry.masks(), &scratch, "carry advance diverged at {}", v);
-
-            // The delta enumeration reports exactly the activations: the
-            // words faulty at the next voltage but clean at the previous
-            // one, with their full masks at the next voltage.
-            let prev_offsets: std::collections::BTreeSet<u64> = inj
-                .coupled_faulty_words(pc, range.clone(), prev)
-                .into_iter()
-                .map(|(w, _, _)| w.0)
-                .collect();
-            let expected: Vec<_> = scratch
-                .iter()
-                .filter(|(w, _, _)| !prev_offsets.contains(&w.0))
-                .copied()
-                .collect();
+            kernel.carry_advance(&mut carry, v);
             prop_assert_eq!(
-                inj.faulty_words_delta(pc, range.clone(), prev, v),
-                expected,
-                "delta enumeration diverged at {}", v
+                carry.masks(),
+                kernel.faulty_words(pc, range.clone(), v),
+                "carry advance diverged at {}", v
             );
         }
     }
@@ -417,10 +396,12 @@ proptest! {
     fn legacy_and_coupled_rates_agree(seed in any::<u64>(), pc_index in 0u8..32) {
         let inj = injector(seed);
         let pc = PcIndex::new(pc_index).unwrap();
+        let legacy_kernel = inj.kernel(FaultFieldMode::PerVoltage, KernelBackend::Scalar);
+        let coupled_kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar);
         for mv in [970u32, 960, 840] {
             let v = Millivolts(mv);
-            let (l0, l1) = inj.count_range(pc, 0..8192, v);
-            let (c0, c1) = inj.coupled_count_range(pc, 0..8192, v);
+            let (l0, l1) = legacy_kernel.count_range(pc, 0..8192, v);
+            let (c0, c1) = coupled_kernel.count_range(pc, 0..8192, v);
             for (legacy, coupled, class) in [(l0, c0, "stuck0"), (l1, c1, "stuck1")] {
                 let scale = legacy.max(coupled) as f64;
                 let diff = legacy.abs_diff(coupled) as f64;

@@ -73,7 +73,7 @@ pub use config::{DeviceSpec, FleetConfig, FleetError};
 pub use model::{DeviceModel, FidelityReport, OPERATING_TARGET_RATE};
 pub use pipeline::{serve_concurrent, LatencyStats, PipelineOptions, PipelineStats};
 pub use population::{FleetCostModel, PopulationSummary};
-pub use query::{FleetQuery, Recommendation};
+pub use query::Recommendation;
 pub use record::{DeviceRecord, CRASHED_KNOT, NO_VMIN};
 pub use serve::{FleetService, ServeStats, DEFAULT_RESCAN_CACHE_BYTES};
 pub use sweep::{characterize_device, FleetReport, FleetRunStats};

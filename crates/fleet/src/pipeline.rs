@@ -61,7 +61,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::api::ApiError;
 use crate::config::FleetError;
-use crate::serve::{FleetService, ServeStats};
+use crate::serve::{request_lines, FleetService, RequestLine, ServeStats};
 
 /// Log₂ buckets in a [`LatencyStats`] histogram.
 pub const LATENCY_BUCKETS: usize = 16;
@@ -173,7 +173,7 @@ struct RequestQueue {
 
 #[derive(Debug)]
 struct QueueState {
-    items: VecDeque<(u64, String)>,
+    items: VecDeque<(u64, RequestLine)>,
     closed: bool,
     high_water: u64,
 }
@@ -193,7 +193,7 @@ impl RequestQueue {
     }
 
     /// Blocks while the queue is full (back-pressure on the reader).
-    fn push(&self, seq: u64, line: String) {
+    fn push(&self, seq: u64, line: RequestLine) {
         let mut state = self.state.lock().expect("request queue poisoned");
         while state.items.len() >= self.capacity {
             state = self.not_full.wait(state).expect("request queue poisoned");
@@ -209,7 +209,7 @@ impl RequestQueue {
     }
 
     /// `None` once the queue is both drained and closed.
-    fn pop(&self) -> Option<(u64, String)> {
+    fn pop(&self) -> Option<(u64, RequestLine)> {
         let mut state = self.state.lock().expect("request queue poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -356,12 +356,9 @@ pub fn serve_concurrent(
         // The reader runs on the caller's thread.
         let mut seq = 0u64;
         let mut read_error = None;
-        for line in input.lines() {
+        for line in request_lines(input) {
             match line {
                 Ok(line) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
                     queue.push(seq, line);
                     seq += 1;
                 }

@@ -31,17 +31,6 @@ use crate::model::DeviceModel;
 use crate::record::CRASHED_KNOT;
 use crate::sweep;
 
-/// One fleet query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetQuery {
-    /// Device to look up.
-    pub device_id: u32,
-    /// Highest acceptable union fault rate per pseudo channel.
-    pub target_rate: f64,
-    /// Minimum pseudo channels that must stay usable.
-    pub min_pcs: usize,
-}
-
 /// A voltage recommendation for one device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Recommendation {
@@ -273,80 +262,8 @@ pub(crate) fn recommend_from_counts(
     finish(store, row, k, usable)
 }
 
-/// Answers a validated query by re-deriving the device's exact count row
-/// with the count-only kernel descent — the fallback for compressed stores
-/// whose exact columns were dropped. [`rescan_counts`] followed by
-/// [`recommend_from_counts`]; the serving layer splits the two so the
-/// expensive half can be cached.
-///
-/// # Errors
-///
-/// [`FleetError::Artifact`] when the store's header cannot be turned back
-/// into a sweep configuration.
-pub(crate) fn recommend_rescan(
-    store: &FleetStore,
-    row: usize,
-    target_rate: f64,
-    min_pcs: usize,
-) -> Result<Recommendation, FleetError> {
-    let counts = rescan_counts(store, row)?;
-    Ok(recommend_from_counts(
-        store,
-        row,
-        &counts,
-        target_rate,
-        min_pcs,
-    ))
-}
-
-impl FleetStore {
-    /// Answers `query` against this artifact.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownDevice`] when the device is absent;
-    /// [`FleetError::Config`] when the query itself is malformed (target
-    /// rate outside `[0, 1]`, or `min_pcs` exceeding the artifact's PC
-    /// count). A device whose curves never satisfy the query falls back
-    /// to the highest swept knot — the artifact proves nothing above it.
-    #[deprecated(
-        since = "0.8.0",
-        note = "route queries through `fleet::api::FleetRequest::Recommend` \
-                and `fleet::serve::FleetService`, which add model-first \
-                serving and the stricter open-interval validation"
-    )]
-    pub fn recommend(&self, query: FleetQuery) -> Result<Recommendation, FleetError> {
-        if !(0.0..=1.0).contains(&query.target_rate) {
-            return Err(FleetError::Config(format!(
-                "target rate must be in [0, 1], got {}",
-                query.target_rate
-            )));
-        }
-        let pcs = self.meta().pc_count as usize;
-        if query.min_pcs > pcs {
-            return Err(FleetError::Config(format!(
-                "min-pcs {} exceeds the artifact's {pcs} pseudo channels",
-                query.min_pcs
-            )));
-        }
-        let row = self.find(query.device_id)?;
-        if self.has_exact_counts() {
-            return Ok(recommend_exact(self, row, query.target_rate, query.min_pcs));
-        }
-        let model = self
-            .model(row)
-            .expect("decodable artifacts carry FAULTS or MODEL");
-        match recommend_model(self, row, &model, query.target_rate, query.min_pcs) {
-            Some(rec) => Ok(rec),
-            None => recommend_rescan(self, row, query.target_rate, query.min_pcs),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
     use super::*;
     use crate::artifact::encode;
     use crate::config::FleetConfig;
@@ -372,20 +289,9 @@ mod tests {
     #[test]
     fn strict_queries_recommend_higher_voltages() {
         let (_, store) = store();
-        let loose = store
-            .recommend(FleetQuery {
-                device_id: 1,
-                target_rate: 1e-2,
-                min_pcs: 24,
-            })
-            .unwrap();
-        let strict = store
-            .recommend(FleetQuery {
-                device_id: 1,
-                target_rate: 0.0,
-                min_pcs: 32,
-            })
-            .unwrap();
+        let row = store.find(1).unwrap();
+        let loose = recommend_exact(&store, row, 1e-2, 24);
+        let strict = recommend_exact(&store, row, 0.0, 32);
         assert!(strict.voltage_mv >= loose.voltage_mv);
         assert!(strict.usable_pcs.len() >= 32);
         assert!(loose.voltage_mv >= strict.crash_mv);
@@ -396,50 +302,12 @@ mod tests {
     fn zero_tolerance_full_width_matches_v_min() {
         let (_, store) = store();
         for row in 0..store.len() {
-            let rec = store
-                .recommend(FleetQuery {
-                    device_id: store.device_id(row),
-                    target_rate: 0.0,
-                    min_pcs: store.meta().pc_count as usize,
-                })
-                .unwrap();
+            let rec = recommend_exact(&store, row, 0.0, store.meta().pc_count as usize);
             let v_min = store.v_min_mv(row);
             if v_min != 0 {
                 assert_eq!(rec.voltage_mv, v_min, "device row {row}");
             }
         }
-    }
-
-    #[test]
-    fn malformed_queries_are_config_errors() {
-        let (_, store) = store();
-        for query in [
-            FleetQuery {
-                device_id: 0,
-                target_rate: -0.5,
-                min_pcs: 1,
-            },
-            FleetQuery {
-                device_id: 0,
-                target_rate: 1.5,
-                min_pcs: 1,
-            },
-            FleetQuery {
-                device_id: 0,
-                target_rate: 0.1,
-                min_pcs: 33,
-            },
-        ] {
-            assert!(matches!(store.recommend(query), Err(FleetError::Config(_))));
-        }
-        assert!(matches!(
-            store.recommend(FleetQuery {
-                device_id: 99,
-                target_rate: 0.1,
-                min_pcs: 1,
-            }),
-            Err(FleetError::UnknownDevice(99))
-        ));
     }
 
     #[test]
@@ -463,8 +331,9 @@ mod tests {
         let compressed = FleetStore::from_bytes(compress_store(&exact, false).unwrap()).unwrap();
         assert!(!compressed.has_exact_counts());
         for row in 0..exact.len() {
+            let counts = rescan_counts(&compressed, row).unwrap();
             for (target, min_pcs) in [(1e-3, 32usize), (1e-2, 16)] {
-                let rescanned = recommend_rescan(&compressed, row, target, min_pcs).unwrap();
+                let rescanned = recommend_from_counts(&compressed, row, &counts, target, min_pcs);
                 let want = recommend_exact(&exact, row, target, min_pcs);
                 assert_eq!(rescanned, want, "row {row} target {target}");
             }

@@ -11,11 +11,13 @@
 //! the exact one; the envelope only ever changes *where* it comes from.
 //!
 //! [`serve`] runs the LDJSON transport: one request JSON per input line,
-//! one response JSON per output line, same order. A malformed line
-//! produces an `Error` response (kind `parse`) and the loop continues;
-//! EOF ends the session and returns the counters.
+//! one response JSON per output line, same order. A malformed line — bad
+//! JSON or bytes that are not UTF-8 — produces an `Error` response (kind
+//! `parse`) and the loop continues; EOF ends the session and returns the
+//! counters.
 
 use std::io::{BufRead, Write};
+use std::string::FromUtf8Error;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -31,6 +33,39 @@ use crate::query;
 
 /// Default rescan-cache byte budget (`hbmctl serve --rescan-cache-mb 64`).
 pub const DEFAULT_RESCAN_CACHE_BYTES: usize = 64 * 1024 * 1024;
+
+/// One non-blank request line as read off the wire: its text, or the
+/// UTF-8 error of a line that is not text.
+pub(crate) type RequestLine = Result<String, FromUtf8Error>;
+
+/// The non-blank request lines of an LDJSON session, read as raw bytes so
+/// a line that is not UTF-8 reaches [`FleetService::handle_line`] and is
+/// answered in-band instead of ending the session. A trailing `\n` or
+/// `\r\n` is stripped, as [`BufRead::lines`] strips it. The single reader
+/// shared by the sequential [`serve`] loop and the concurrent pipeline.
+pub(crate) fn request_lines(
+    mut input: impl BufRead,
+) -> impl Iterator<Item = std::io::Result<RequestLine>> {
+    std::iter::from_fn(move || loop {
+        let mut bytes = Vec::new();
+        match input.read_until(b'\n', &mut bytes) {
+            Ok(0) => return None,
+            Ok(_) => {
+                if bytes.last() == Some(&b'\n') {
+                    bytes.pop();
+                    if bytes.last() == Some(&b'\r') {
+                        bytes.pop();
+                    }
+                }
+                let line = String::from_utf8(bytes);
+                if !matches!(&line, Ok(text) if text.trim().is_empty()) {
+                    return Some(Ok(line));
+                }
+            }
+            Err(err) => return Some(Err(err)),
+        }
+    })
+}
 
 /// Serving counters, reported once per session at EOF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -248,10 +283,15 @@ impl FleetService {
     /// # Errors
     ///
     /// Only response *serialization* failures surface as `Err` (they
-    /// abort the transport); a malformed request is answered in-band as
-    /// an `Error` response line.
-    pub(crate) fn handle_line(&self, line: &str) -> Result<String, ApiError> {
-        let response = match serde_json::from_str::<FleetRequest>(line) {
+    /// abort the transport); a malformed request — bad JSON or a line
+    /// that is not UTF-8 — is answered in-band as an `Error` response
+    /// line.
+    pub(crate) fn handle_line(&self, line: &RequestLine) -> Result<String, ApiError> {
+        let request = match line {
+            Ok(text) => serde_json::from_str::<FleetRequest>(text).map_err(|err| err.to_string()),
+            Err(err) => Err(err.to_string()),
+        };
+        let response = match request {
             Ok(request) => self.handle(&request),
             Err(err) => {
                 self.queries_served.fetch_add(1, Ordering::Relaxed);
@@ -281,11 +321,8 @@ pub fn serve(
     input: impl BufRead,
     mut output: impl Write,
 ) -> std::io::Result<ServeStats> {
-    for line in input.lines() {
+    for line in request_lines(input) {
         let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
         let json = service
             .handle_line(&line)
             .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.message))?;

@@ -222,3 +222,51 @@ fn zero_cache_budget_rescans_every_miss() {
     assert_eq!(stats.kernel_rescans, 3, "{stats:?}");
     assert_eq!(stats.rescan_cache_hits, 0, "{stats:?}");
 }
+
+/// A request line that is not UTF-8 is answered in-band with a `parse`
+/// error and the session goes on: a bad line between two valid requests
+/// gets three answers, in order, byte-identical sequentially and at 1
+/// and 4 pipeline workers.
+#[test]
+fn non_utf8_line_is_answered_in_band_and_the_session_continues() {
+    let store = model_only_store(3, 7);
+    let mut input = b"\"Summary\"\n".to_vec();
+    input.extend_from_slice(b"{\"Recommend\":\xff\xfe}\n");
+    input.extend_from_slice(
+        b"{\"Recommend\":{\"device_id\":1,\"target_rate\":0.01,\"min_pcs\":16}}\n",
+    );
+
+    let mut sequential = Vec::new();
+    let stats = hbm_fleet::serve::serve(
+        &FleetService::new(store.clone()),
+        input.as_slice(),
+        &mut sequential,
+    )
+    .unwrap();
+    assert_eq!(stats.queries_served, 3);
+    let text = std::str::from_utf8(&sequential).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "{text}");
+    assert!(lines[0].starts_with("{\"Summary\":"), "{}", lines[0]);
+    match serde_json::from_str::<FleetResponse>(lines[1]).unwrap() {
+        FleetResponse::Error(err) => assert_eq!(err.kind, "parse"),
+        other => panic!("unexpected: {other:?}"),
+    }
+    assert!(lines[2].starts_with("{\"Recommendation\":"), "{}", lines[2]);
+
+    for workers in [1usize, 4] {
+        let mut out = Vec::new();
+        let options = PipelineOptions {
+            workers,
+            completion_jitter: None,
+        };
+        hbm_fleet::serve_concurrent(
+            &FleetService::new(store.clone()),
+            input.as_slice(),
+            &mut out,
+            &options,
+        )
+        .unwrap();
+        assert_eq!(out, sequential, "{workers} workers");
+    }
+}

@@ -13,9 +13,6 @@ cargo fmt --check
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
-# The root-package build above does not cover member binaries; the smoke
-# runs below need a current hbmctl.
-cargo build --release --workspace
 
 echo "==> tier-1: cargo test -q"
 cargo test -q

@@ -104,10 +104,6 @@ fn device_statistics_match_across_worker_counts() {
 fn workers_knob_clamps_to_at_least_one() {
     let platform = Platform::builder().seed(7).workers(0).build();
     assert_eq!(platform.workers(), 1);
-    let mut platform = Platform::builder().seed(7).workers(6).build();
+    let platform = Platform::builder().seed(7).workers(6).build();
     assert_eq!(platform.workers(), 6);
-    // The deprecated forwarder must keep working for old callers.
-    #[allow(deprecated)]
-    platform.set_workers(0);
-    assert_eq!(platform.workers(), 1);
 }
